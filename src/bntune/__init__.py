@@ -29,7 +29,6 @@ from .bn import (
 from .formats import float17, parse_constraint, parse_network, parse_param_spec
 from .lifting import (
     MARGIN,
-    VI_TOL,
     BoundMDP,
     RegionVerifier,
     RelaxedPMC,
@@ -97,7 +96,6 @@ __all__ = [
     "StateLabel",
     "Status",
     "TuneResult",
-    "VI_TOL",
     "Variable",
     "Verdict",
     "ZERO",

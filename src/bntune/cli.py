@@ -27,7 +27,7 @@ from typing import Sequence
 from .bn import BayesNet, Constraint, ParamBN
 from .errors import CoverageUnreachable, Error, TooLarge
 from .formats import float17, parse_constraint, parse_network, parse_param_spec
-from .lifting import MARGIN, VI_TOL, RegionVerifier, Verdict
+from .lifting import RegionVerifier, Verdict
 from .pmc import compile_chain, compile_tailored, reach_prob, sensitivity_function, to_dot
 from .poly import as_fraction
 from .refine import boxes_csv, partition
@@ -159,7 +159,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     pbn = _require(_load_pbn(args, net), "-p/--params")
     constraint = _require(_load_constraint(args, pbn), "-c/--constraint")
     chain, spec = compile_tailored(pbn, constraint, order=_order(args))
-    verifier = RegionVerifier(chain, spec, vi_tol=args.vi_tol)
+    verifier = RegionVerifier(chain, spec)
     region = pbn.space()
     verdict = verifier.verify(region)
     low, high = verifier.bounds(region)
@@ -181,14 +181,7 @@ def _cmd_partition(args) -> tuple[dict, int]:
     chain, spec = compile_tailored(pbn, constraint, order=_order(args))
     status, code = "ok", 0
     try:
-        result = partition(
-            chain,
-            spec,
-            pbn.space(),
-            as_fraction(args.eta),
-            vi_tol=args.vi_tol,
-            workers=args.threads,
-        )
+        result = partition(chain, spec, pbn.space(), as_fraction(args.eta))
     except CoverageUnreachable as exc:
         result = exc.partial
         status, code = "coverage_unreachable", 3
@@ -259,8 +252,6 @@ def _cmd_tune(args) -> tuple[dict, int]:
         gamma=as_fraction(args.gamma),
         max_iters=args.max_iters,
         delta=as_fraction(args.delta),
-        vi_tol=args.vi_tol,
-        workers=args.threads,
     )
     result = tune(pbn, constraint, measure=args.distance, hyper=hyper, order=_order(args))
     return _tune_payload(result), _EXIT_BY_STATUS[result.status]
@@ -303,14 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     with_constraint.add_argument(
         "-c", "--constraint", help="constraint, e.g. 'P(A=yes | B=no) <= 0.01'"
     )
-    with_vi = argparse.ArgumentParser(add_help=False)
-    with_vi.add_argument(
-        "--vi-tol", type=float, default=VI_TOL, help=f"value-iteration tolerance (default {VI_TOL})"
-    )
-    with_threads = argparse.ArgumentParser(add_help=False)
-    with_threads.add_argument(
-        "--threads", type=int, default=None, help="verify this many boxes concurrently"
-    )
 
     p_infer = sub.add_parser(
         "infer", parents=[common, with_constraint], help="conditional probability at the original values"
@@ -327,14 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify",
-        parents=[common, with_params, with_constraint, with_vi],
+        parents=[common, with_params, with_constraint],
         help="soundly check the constraint over the whole declared parameter box",
     )
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_partition = sub.add_parser(
         "partition",
-        parents=[common, with_params, with_constraint, with_vi, with_threads],
+        parents=[common, with_params, with_constraint],
         help="split the declared box into accepting/rejecting/unknown boxes",
     )
     p_partition.add_argument(
@@ -345,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tune = sub.add_parser(
         "tune",
-        parents=[common, with_params, with_constraint, with_vi, with_threads],
+        parents=[common, with_params, with_constraint],
         help="find a satisfying instantiation of small distance",
     )
     p_tune.add_argument(

@@ -12,21 +12,16 @@ the original probability on the box from both sides.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import BadRegion, NotWellFormed, TooLarge, UnboundParameter
-from .pmc import PMC, ReachSpec, StateLabel
+from .pmc import PMC, LeveledSolver, ReachSpec, StateLabel
 from .poly import Region
 
 #: Decision margin around the threshold: bounds closer than this are inconclusive.
 MARGIN = 1e-8
-#: Value-iteration stopping tolerance: targeted absolute error of the result.
-VI_TOL = 1e-10
 #: Per-state cap on local parameters (2**cap endpoint combinations).
 LOCAL_PARAM_GUARD = 10
 
@@ -120,7 +115,8 @@ def substitute(relaxed: RelaxedPMC, region: Region) -> BoundMDP:
 
     ``region`` ranges over the *original* parameter names; each copy inherits
     the interval of its origin.  The region must lie inside the intervals the
-    chain declares for its parameters.
+    chain declares for its parameters.  Each weight is its exact value at the
+    corner, rounded once, as the solver's rounding bound assumes.
     """
     pmc = relaxed.pmc
     origin = relaxed.origin_map
@@ -153,11 +149,11 @@ def substitute(relaxed: RelaxedPMC, region: Region) -> BoundMDP:
             choices.append((lb,) if lb == ub else (lb, ub))
         state_actions: dict[tuple[tuple[int, float], ...], None] = {}
         for corner in itertools.product(*choices):
-            point = {n: float(v) for n, v in zip(local, corner)}
+            point = dict(zip(local, corner))
             distribution = []
             total = 0.0
             for t, w in out:
-                p = w.evaluate_numeric(point)
+                p = w.evaluate_rounded(point)
                 if not -1e-9 <= p <= 1 + 1e-9:
                     raise NotWellFormed(f"weight {w} evaluates to {p} outside [0, 1]")
                 p = min(max(p, 0.0), 1.0)
@@ -173,186 +169,59 @@ def substitute(relaxed: RelaxedPMC, region: Region) -> BoundMDP:
 # -- optimal reachability in the bounding process ---------------------------
 
 
-def _graph_structure(mdp: BoundMDP, targets: frozenset[int], mode: str):
-    """Split states into targets (value 1), zeros (value 0), and unknown.
-
-    For ``max`` the zeros are the states with no path to a target at all; for
-    ``min`` they are the states from which some endpoint choice avoids the
-    targets forever (greatest fixpoint).
-    """
-    n = mdp.n_states
-    predecessors: dict[int, set[int]] = {s: set() for s in range(n)}
-    for s, acts in enumerate(mdp.actions):
-        for action in acts:
-            for t, p in action:
-                if p > 0.0:
-                    predecessors[t].add(s)
-    can_reach = set(targets)
-    stack = list(targets)
-    while stack:
-        s = stack.pop()
-        for pred in predecessors[s]:
-            if pred not in can_reach:
-                can_reach.add(pred)
-                stack.append(pred)
-
-    if mode == "max":
-        zeros = set(range(n)) - can_reach
-    else:
-        avoid = set(range(n)) - set(targets)
-        changed = True
-        while changed:
-            changed = False
-            for s in sorted(avoid):
-                keeps = any(
-                    all(p == 0.0 or t in avoid for t, p in action)
-                    for action in mdp.actions[s]
-                )
-                if not keeps:
-                    avoid.discard(s)
-                    changed = True
-        zeros = avoid
-    unknown = sorted(s for s in range(n) if s not in targets and s not in zeros)
-    return unknown, zeros
-
-
-def _vi_arrays(mdp: BoundMDP, targets: frozenset[int], unknown: list[int]):
-    """Dense action-major matrices: one row per action, grouped by state."""
-    index = {s: i for i, s in enumerate(unknown)}
-    rows: list[np.ndarray] = []
-    offsets: list[float] = []
-    starts: list[int] = []
-    m = len(unknown)
-    for s in unknown:
-        starts.append(len(rows))
-        for action in mdp.actions[s]:
-            row = np.zeros(m)
-            base = 0.0
-            for t, p in action:
-                if t in targets:
-                    base += p
-                elif t in index:
-                    row[index[t]] += p
-            rows.append(row)
-            offsets.append(base)
-    matrix = np.vstack(rows) if rows else np.zeros((0, m))
-    return matrix, np.array(offsets), np.array(starts, dtype=np.intp), index
-
-
-def _iterate(matrix, offsets, starts, mode: str, tol: float, x0=None) -> np.ndarray:
-    """Value iteration with an error-targeted stopping rule.
-
-    A plain last-step test can stop far from the fixpoint on slowly mixing
-    chains, so instead the remaining error is estimated as
-    ``delta * r / (1 - r)`` from the observed contraction ratio ``r`` of
-    recent sweeps, and iteration stops once that estimate is within ``tol``.
-    The estimate holds from any starting vector, so sweeps may be warm-started.
-    """
-    m = matrix.shape[1]
-    reduce_at = np.maximum.reduceat if mode == "max" else np.minimum.reduceat
-    x = np.zeros(m)
-    if x0 is not None and x0.shape == (m,):
-        x = x0.copy()
-    deltas: deque[float] = deque(maxlen=4)
-    for _ in range(2_000_000):
-        y = matrix @ x + offsets
-        z = reduce_at(y, starts)
-        np.clip(z, 0.0, 1.0, out=z)
-        delta = float(np.max(np.abs(z - x))) if m else 0.0
-        x = z
-        if delta == 0.0 or delta < 1e-16:
-            break
-        deltas.append(delta)
-        if len(deltas) == deltas.maxlen:
-            ratios = [b / a for a, b in itertools.pairwise(deltas) if a > 0]
-            r = max(ratios, default=0.0)
-            if r < 1.0 and delta * r / (1.0 - r) <= tol:
-                break
-    return x
-
-
 def extremal_reach(
     mdp: BoundMDP,
     targets: frozenset[int] | set[int],
     mode: str = "max",
-    *,
-    tol: float = VI_TOL,
 ) -> float:
     """Optimal probability of reaching ``targets`` from the initial state.
 
     ``mode='max'`` over-approximates the supremum of the original chain's
     reachability probability over the box; ``mode='min'`` under-approximates
-    the infimum.  Value iteration targets an absolute error of ``tol``;
-    states that cannot reach the targets are pinned to 0 by graph analysis
-    beforehand.
+    the infimum.  Policy iteration with :class:`LeveledSolver` computes the
+    optimum itself, unpadded; raises :class:`NotWellFormed` for a process
+    that is not leveled.
     """
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    targets = frozenset(targets)
-    if mdp.initial in targets:
-        return 1.0
-    unknown, zeros = _graph_structure(mdp, targets, mode)
-    if mdp.initial in zeros:
-        return 0.0
-    matrix, offsets, starts, index = _vi_arrays(mdp, targets, unknown)
-    x = _iterate(matrix, offsets, starts, mode, tol)
-    return float(min(max(x[index[mdp.initial]], 0.0), 1.0))
+    edges = [[pair for action in acts for pair in action] for acts in mdp.actions]
+    solver = LeveledSolver(mdp.states, mdp.initial, edges, targets)
+    return solver.extremal(mdp.actions, mode == "max")
 
 
 class RegionVerifier:
     """Checks many boxes against one constraint, reusing work across calls.
 
-    The relaxation, the graph analysis, and warm-start value vectors are
+    The relaxation and the solver's structure check and level order are
     shared between calls, which matters when a partitioning loop verifies
-    thousands of sibling boxes.  Sharing the graph analysis is sound for
-    compiled chains because their edge weights are strictly positive on every
-    box inside (0, 1), so the underlying graph never changes.
+    thousands of sibling boxes.  Sharing the level order is sound because it
+    depends only on which edges the chain has, and every box's process keeps
+    exactly the chain's edges.
     """
 
-    def __init__(
-        self,
-        pmc: PMC,
-        spec: ReachSpec,
-        *,
-        vi_tol: float = VI_TOL,
-        margin: float = MARGIN,
-    ):
+    def __init__(self, pmc: PMC, spec: ReachSpec):
         self.spec = spec
-        self.vi_tol = float(vi_tol)
-        self.margin = float(margin)
         self.relaxed = relax(pmc)
-        self.targets = frozenset(spec.targets)
         self.verifications = 0
-        self._structure: dict[str, tuple[list[int], set[int]]] = {}
-        self._warm: dict[str, np.ndarray] = {}
+        chain = self.relaxed.pmc
+        self.solver = LeveledSolver(chain.states, chain.initial, chain.edges, spec.targets)
 
-    def _bound(self, mdp: BoundMDP, mode: str) -> float:
-        if mdp.initial in self.targets:
-            return 1.0
-        structure = self._structure.get(mode)
-        if structure is None:
-            structure = _graph_structure(mdp, self.targets, mode)
-            self._structure[mode] = structure
-        unknown, zeros = structure
-        if mdp.initial in zeros:
-            return 0.0
-        matrix, offsets, starts, index = _vi_arrays(mdp, self.targets, unknown)
-        x = _iterate(matrix, offsets, starts, mode, self.vi_tol, self._warm.get(mode))
-        self._warm[mode] = x
-        return float(min(max(x[index[mdp.initial]], 0.0), 1.0))
+    def _bound(self, mdp: BoundMDP, maximize: bool) -> float:
+        """The optimum, padded outwards by the solver's rounding bound."""
+        value = self.solver.extremal(mdp.actions, maximize)
+        if maximize:
+            return min(value * (1 + self.solver.pad), 1.0)
+        return max(value * (1 - self.solver.pad), 0.0)
 
     def bounds(self, region: Region) -> tuple[float, float]:
         """Sound lower and upper bounds on the probability over the box.
 
-        The raw optima are widened by the solver slack so the returned pair
-        still brackets the true range under floating-point error.
+        The optima are widened by :attr:`LeveledSolver.pad`, the bound on
+        their rounding error derived there, so the returned pair still
+        brackets the true range.
         """
         mdp = substitute(self.relaxed, region)
-        lo = self._bound(mdp, "min") - self.vi_tol
-        hi = self._bound(mdp, "max") + self.vi_tol
-        return max(lo, 0.0), min(hi, 1.0)
+        return self._bound(mdp, False), self._bound(mdp, True)
 
     def verify(self, region: Region) -> Verdict:
         """Classify the box, computing only the bounds the decision needs."""
@@ -360,33 +229,26 @@ class RegionVerifier:
         mdp = substitute(self.relaxed, region)
         threshold = float(self.spec.threshold)
         if self.spec.direction == "<=":
-            if self._bound(mdp, "max") <= threshold - self.margin:
+            if self._bound(mdp, True) <= threshold - MARGIN:
                 return Verdict.ACCEPTING
-            if self._bound(mdp, "min") > threshold + self.margin:
+            if self._bound(mdp, False) > threshold + MARGIN:
                 return Verdict.REJECTING
             return Verdict.INCONCLUSIVE
-        if self._bound(mdp, "min") >= threshold + self.margin:
+        if self._bound(mdp, False) >= threshold + MARGIN:
             return Verdict.ACCEPTING
-        if self._bound(mdp, "max") < threshold - self.margin:
+        if self._bound(mdp, True) < threshold - MARGIN:
             return Verdict.REJECTING
         return Verdict.INCONCLUSIVE
 
 
-def verify_region(
-    pmc: PMC,
-    spec: ReachSpec,
-    region: Region,
-    *,
-    vi_tol: float = VI_TOL,
-    margin: float = MARGIN,
-) -> Verdict:
+def verify_region(pmc: PMC, spec: ReachSpec, region: Region) -> Verdict:
     """One-shot sound classification of a box against the constraint."""
-    return RegionVerifier(pmc, spec, vi_tol=vi_tol, margin=margin).verify(region)
+    return RegionVerifier(pmc, spec).verify(region)
 
 
 def region_bounds(
-    pmc: PMC, targets: frozenset[int] | set[int], region: Region, *, vi_tol: float = VI_TOL
+    pmc: PMC, targets: frozenset[int] | set[int], region: Region
 ) -> tuple[float, float]:
     """Sound bounds on Pr(reach targets) over the box, without a threshold."""
     dummy = ReachSpec(frozenset(targets), "<=", Fraction(1))
-    return RegionVerifier(pmc, dummy, vi_tol=vi_tol).bounds(region)
+    return RegionVerifier(pmc, dummy).bounds(region)

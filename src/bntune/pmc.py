@@ -16,16 +16,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .bn import BayesNet, Constraint, Instantiation, ParamBN, topological_order
 from .errors import (
     EvidenceImpossible,
     NotWellFormed,
     TooLarge,
-    UnboundParameter,
 )
-from .poly import ONE, ZERO, Polynomial, as_fraction
+from .poly import ONE, ZERO, Polynomial, _binary_fraction, as_fraction
 
 #: State-space guard for exact symbolic elimination.
 ELIMINATION_GUARD = 10**4
@@ -264,76 +261,144 @@ def _check_evidence_reachable(chain: PMC, u0: Instantiation | None, n_levels: in
     raise EvidenceImpossible("the evidence has probability zero; every path restarts")
 
 
+class LeveledSolver:
+    """Reachability values of a leveled chain, or of its endpoint MDP, in one pass per round.
+
+    Compiled chains are *leveled*: every edge goes from level l to l+1 or
+    restarts at the initial state, and a leaf's only edge loops on itself.
+    The constructor checks this once, raising :class:`NotWellFormed` for any
+    other edge, and orders the states deepest level first.
+
+    Under a fixed choice of one action per state (a policy), every state's
+    value is T + R*x, where x is the initial state's value.  One pass in
+    level order computes T, the mass that hits a target before a restart,
+    and E, the mass that ends at a target or leaf without restarting; R is
+    the restart mass 1 - E.  So x = T/E at the initial state.  T and E are
+    sums of products of non-negative floats, so no subtraction cancels
+    digits.  When E = 0 every path restarts forever, and the least fixed
+    point x = 0 is the value.
+
+    :meth:`extremal` runs policy iteration on x.  A round picks each state's
+    action with the best gain T - x*E at the current x (the best T + R*x,
+    without its cancellation) and re-solves.  The first round runs at
+    x = 0, where the gain is T itself: a zero there is exact and means that
+    some policy (min) or every policy (max) never reaches a target, so the
+    value is 0.  Later rounds stop once x no longer improves, which includes
+    the policy repeating.  The greedy gain at the initial state is then the
+    best T - x*E over all policies, and its sign bounds every policy's T/E
+    by x.  Rounds are capped at the number of states.
+
+    Rounding.  Let u = 2**-53, gamma_n = n*u/(1 - n*u), d the number of
+    levels and k the largest out-degree.  Each weight is the exact value at
+    a rational point rounded once (:meth:`Polynomial.evaluate_rounded`), a
+    relative error of at most u.  Along each edge of a path the pass adds
+    one product and at most k - 1 additions.  A path has at most d edges, so
+    T and E at the initial state are each within gamma_{d(k+1)} of the exact
+    T and E of the chosen policy, and T/E, with its one division, within
+    gamma_m for m = 2d(k+1) + 1.  :attr:`pad` is 2*gamma_m: the factor 2
+    covers turning that into a bound on the exact value, which divides by
+    1 - gamma_m, and the two roundings of the multiplication that applies
+    the pad.  Policy iteration compares gains in floating point, so two
+    policies whose gains agree to within their rounding may be ranked
+    either way.  The pad does not cover that case; it moves x by at most
+    about d*m*u*E_max/E, where E is the ending mass of the policy passed
+    over and E_max the largest ending mass of any policy.
+    """
+
+    def __init__(
+        self,
+        states: Sequence[StateLabel],
+        initial: int,
+        edges: Sequence[Sequence[tuple[int, object]]],
+        targets: Iterable[int],
+    ):
+        targets = frozenset(targets)
+        levels = [state.level for state in states]
+        self.initial = initial
+        self._base_t = [0.0] * len(states)
+        self._base_e = [0.0] * len(states)
+        self._order: list[int] = []
+        degree = 0
+        for s, out in enumerate(edges):
+            degree = max(degree, len(out))
+            if s in targets:
+                self._base_t[s] = self._base_e[s] = 1.0
+            elif s != initial and all(t == s for t, _ in out):
+                self._base_e[s] = 1.0  # a leaf: the mass ends here
+            else:
+                for t, _ in out:
+                    if t != initial and levels[t] != levels[s] + 1:
+                        raise NotWellFormed(
+                            f"edge s{s} -> s{t} goes from level {levels[s]} to level "
+                            f"{levels[t]}; leveled chains only step one level down or restart"
+                        )
+                if s != initial:
+                    self._order.append(s)
+        # Deepest level first; the initial state last, so that its restart
+        # edges still read the zero T and E of a restart.
+        self._order.sort(key=levels.__getitem__, reverse=True)
+        if initial not in targets:
+            self._order.append(initial)
+        m = 2 * len(set(levels)) * (degree + 1) + 1
+        #: Relative pad that makes a computed value a sound bound (see above).
+        self.pad = 2 * m * 2.0**-53 / (1 - m * 2.0**-53)
+
+    def _round(self, actions, x: float, maximize: bool) -> tuple[float, float]:
+        """T and E at the initial state under the greedy policy at ``x``."""
+        t_of = self._base_t.copy()
+        e_of = self._base_e.copy()
+        for s in self._order:
+            best = None
+            for action in actions[s]:
+                t = e = 0.0
+                for succ, p in action:
+                    t += p * t_of[succ]
+                    e += p * e_of[succ]
+                gain = t - x * e
+                if best is None or (gain > best if maximize else gain < best):
+                    best, best_t, best_e = gain, t, e
+            t_of[s], e_of[s] = best_t, best_e
+        return t_of[self.initial], e_of[self.initial]
+
+    def reach(self, actions) -> float:
+        """The value of a chain with one action per state."""
+        t, e = self._round(actions, 0.0, True)
+        return t / e if e else 0.0
+
+    def extremal(self, actions, maximize: bool) -> float:
+        """The best (``maximize``) or worst value over all policies."""
+        t, e = self._round(actions, 0.0, maximize)
+        if t == 0.0:
+            return 0.0
+        x = t / e
+        for _ in range(len(actions)):
+            t, e = self._round(actions, x, maximize)
+            y = t / e if e else 0.0
+            if not (y > x if maximize else y < x):
+                return x
+            x = y
+        raise NotWellFormed(f"policy iteration did not settle within {len(actions)} rounds")
+
+
 def reach_prob(pmc: PMC, u: Instantiation, targets: Iterable[int]) -> float:
     """Exact probability of reaching ``targets`` from the initial state at ``u``.
 
-    The instantiated chain is solved directly (dense linear solve over the
-    reachable states), not iterated, so the result is accurate to floating
-    point and serves as the reference for the interval-based methods.
+    The instantiated chain is solved directly by :class:`LeveledSolver`, not
+    iterated, so the result is accurate to floating point and serves as the
+    reference for the interval-based methods.  Raises :class:`NotWellFormed`
+    for a chain that is not leveled.
     """
-    targets = set(targets)
-    values = {name: float(v) for name, v in u.items()}
-    n = pmc.n_states
-    prob: list[list[tuple[int, float]]] = []
+    point = {name: _binary_fraction(v) for name, v in u.items()}
+    actions = []
     for out in pmc.edges:
-        row = []
+        distribution = []
         for target, weight in out:
-            try:
-                value = weight.evaluate_numeric(values)
-            except KeyError as exc:
-                raise UnboundParameter(f"no value for parameter {exc.args[0]!r}") from None
+            value = weight.evaluate_rounded(point)
             if not (-1e-12 <= value <= 1 + 1e-12):
                 raise NotWellFormed(f"transition weight {weight} evaluates to {value} outside [0, 1]")
-            row.append((target, min(max(value, 0.0), 1.0)))
-        prob.append(row)
-
-    # Forward reachability over positive edges.
-    reachable = {pmc.initial}
-    stack = [pmc.initial]
-    while stack:
-        s = stack.pop()
-        for t, p in prob[s]:
-            if p > 0.0 and t not in reachable:
-                reachable.add(t)
-                stack.append(t)
-    live_targets = targets & reachable
-    if pmc.initial in live_targets:
-        return 1.0
-    if not live_targets:
-        return 0.0
-
-    # States that cannot reach a target contribute probability zero.
-    predecessors: dict[int, list[int]] = {s: [] for s in reachable}
-    for s in reachable:
-        for t, p in prob[s]:
-            if p > 0.0 and t in reachable:
-                predecessors[t].append(s)
-    can_reach = set(live_targets)
-    stack = list(live_targets)
-    while stack:
-        s = stack.pop()
-        for pred in predecessors[s]:
-            if pred not in can_reach:
-                can_reach.add(pred)
-                stack.append(pred)
-
-    unknown = sorted(s for s in reachable if s in can_reach and s not in targets)
-    index = {s: i for i, s in enumerate(unknown)}
-    m = len(unknown)
-    a = np.eye(m)
-    b = np.zeros(m)
-    for s in unknown:
-        i = index[s]
-        for t, p in prob[s]:
-            if p == 0.0:
-                continue
-            if t in targets:
-                b[i] += p
-            elif t in index:
-                a[i, index[t]] -= p
-    x = np.linalg.solve(a, b)
-    value = float(x[index[pmc.initial]])
-    return min(max(value, 0.0), 1.0)
+            distribution.append((target, min(max(value, 0.0), 1.0)))
+        actions.append((tuple(distribution),))
+    return LeveledSolver(pmc.states, pmc.initial, pmc.edges, targets).reach(actions)
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,18 @@ class Polynomial:
             return total
         return self.evaluate_numeric(u)
 
+    def evaluate_rounded(self, u: Mapping[str, Rational]) -> float:
+        """The exact value at the rational point ``u``, rounded once to a float.
+
+        The result is within half a unit in the last place of the true value,
+        which :meth:`evaluate_numeric` cannot promise: its ``c - c*x`` loses
+        relative accuracy as ``x`` nears 1.
+        """
+        if len(self.terms) == 1 and not self.terms[0][0]:
+            coeff = self.terms[0][1]
+            return coeff.numerator / coeff.denominator  # int division rounds once
+        return float(self.evaluate(u))
+
     def evaluate_numeric(self, u: Mapping[str, float]):
         """Float evaluation; also broadcasts over numpy arrays passed as values."""
         total = 0.0

@@ -9,14 +9,13 @@ bookkeeping uses exact rational volumes, so the reported coverage is exact.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
 import csv
 
 from .errors import CoverageUnreachable
-from .lifting import MARGIN, VI_TOL, RegionVerifier, Verdict
+from .lifting import RegionVerifier, Verdict
 from .pmc import PMC, ReachSpec
 from .poly import Region, as_fraction
 
@@ -45,9 +44,6 @@ def partition(
     region: Region,
     eta: float | Fraction = Fraction(99, 100),
     *,
-    vi_tol: float = VI_TOL,
-    margin: float = MARGIN,
-    workers: int | None = None,
     guard: int = BOX_GUARD,
     verifier: RegionVerifier | None = None,
     until_accepting: bool = False,
@@ -59,9 +55,7 @@ def partition(
     most a ``1 - eta`` share stays inconclusive.  The three returned box lists
     partition ``region`` exactly (their rational volumes add up to the input
     volume).  At least one verification happens even when ``eta`` is 0.
-    ``workers`` verifies batches of queued boxes in parallel threads; the
-    result is the same, though slightly more boxes may be verified than
-    strictly needed.  With ``until_accepting`` the loop keeps refining past
+    With ``until_accepting`` the loop keeps refining past
     the coverage goal until it has found at least one accepting box or
     classified the whole region, so accepting parts smaller than the ``1 -
     eta`` allowance cannot be skipped over.  Raises
@@ -116,46 +110,31 @@ def partition(
             partial=result(),
         )
 
-    parallel = workers if workers and workers > 1 else 1
-    if parallel == 1 and verifier is not None:
-        pool = [verifier]
-    else:
-        pool = [RegionVerifier(pmc, spec, vi_tol=vi_tol, margin=margin) for _ in range(parallel)]
-    executor = ThreadPoolExecutor(max_workers=parallel) if parallel > 1 else None
-
-    try:
-        done = False
-        while queue and not done:
-            batch = [queue.popleft() for _ in range(min(len(pool), len(queue)))]
-            if executor is not None and len(batch) > 1:
-                verdicts = list(
-                    executor.map(lambda pair: pair[0].verify(pair[1]), zip(pool, batch))
-                )
+    if verifier is None:
+        verifier = RegionVerifier(pmc, spec)
+    done = False
+    while queue and not done:
+        box = queue.popleft()
+        verdict = verifier.verify(box)
+        verifications += 1
+        if verdict is Verdict.ACCEPTING:
+            accepting.append(box)
+            covered += measure(box)
+        elif verdict is Verdict.REJECTING:
+            rejecting.append(box)
+            covered += measure(box)
+        searching = until_accepting and not accepting and covered < total
+        done = covered >= threshold and not searching
+        if verdict is Verdict.INCONCLUSIVE:
+            axis = None if done else widest_axis(box)
+            if axis is None:
+                unknown.append(box)
             else:
-                verdicts = [pool[0].verify(box) for box in batch]
-            for box, verdict in zip(batch, verdicts):
-                verifications += 1
-                if verdict is Verdict.ACCEPTING:
-                    accepting.append(box)
-                    covered += measure(box)
-                elif verdict is Verdict.REJECTING:
-                    rejecting.append(box)
-                    covered += measure(box)
-                searching = until_accepting and not accepting and covered < total
-                done = done or (covered >= threshold and not searching)
-                if verdict is Verdict.INCONCLUSIVE:
-                    axis = None if done else widest_axis(box)
-                    if axis is None:
-                        unknown.append(box)
-                    else:
-                        queue.extend(box.split(axis))
-            if not done and verifications >= guard:
-                raise give_up()
-        if covered < threshold:
+                queue.extend(box.split(axis))
+        if not done and verifications >= guard:
             raise give_up()
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+    if covered < threshold:
+        raise give_up()
     return result()
 
 

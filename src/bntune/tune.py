@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 
 from .bn import DEFAULT_DELTA, Constraint, Instantiation, ParamBN
 from .errors import CoverageUnreachable, EmptyInput, NotWellFormed, UnsupportedForCD
-from .lifting import MARGIN, VI_TOL
 from .pmc import compile_tailored, reach_prob
 from .poly import Region, _binary_fraction
 from .refine import BOX_GUARD, PartitionResult, partition
@@ -52,9 +51,6 @@ class Hyper:
     gamma: Fraction = Fraction(1, 2)
     max_iters: int = 6
     delta: Fraction = DEFAULT_DELTA
-    vi_tol: float = VI_TOL
-    margin: float = MARGIN
-    workers: int | None = None
     guard: int = BOX_GUARD
 
     def __post_init__(self):
@@ -302,9 +298,6 @@ def tune(
                 spec,
                 region,
                 hyper.eta,
-                vi_tol=hyper.vi_tol,
-                margin=hyper.margin,
-                workers=hyper.workers,
                 guard=hyper.guard,
                 until_accepting=True,
             )

@@ -238,7 +238,7 @@ def test_partition_bad_eta(capsys, toy_files):
         assert payload["status"] == "error"
 
 
-def test_partition_threads(capsys, covid_files):
+def test_partition_covid_files(capsys, covid_files):
     net, params = covid_files
     code, payload = run_cli(
         capsys,
@@ -250,8 +250,6 @@ def test_partition_threads(capsys, covid_files):
         COVID_CONSTRAINT_TEXT,
         "--eta",
         "0.5",
-        "--threads",
-        "2",
     )
     assert code == 0
     assert payload["coverage"] >= 0.5

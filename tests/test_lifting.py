@@ -25,7 +25,7 @@ from bntune.lifting import (
     relax,
     substitute,
 )
-from bntune.pmc import PMC, ReachSpec, StateLabel
+from bntune.pmc import PMC, ReachSpec, StateLabel, sensitivity_function
 from bntune.oracle import infer
 from bntune import instantiate, net_from_tables
 from conftest import CP, CQ, build_covid_net, state_index
@@ -198,8 +198,63 @@ def test_extremal_reach_initial_target_and_validation(toy_pbn):
     assert extremal_reach(mdp, {pmc.initial}, "min") == 1.0
     with pytest.raises(ValueError):
         extremal_reach(mdp, {yes}, "median")
-    with pytest.raises(ValueError):
-        extremal_reach(mdp, {yes}, "max", tol=0.0)
+
+
+def test_non_leveled_chain_is_rejected():
+    # s2 steps back to s1 instead of one level down or to the initial state,
+    # so the cycle s1 -> s2 -> s1 avoids the initial state.
+    states = (StateLabel(0, ()), StateLabel(1, (("V", "a"),)), StateLabel(2, (("W", "a"),)),
+              StateLabel(2, (("W", "b"),)))
+    half = C(Fraction(1, 2))
+    edges = (((1, ONE),), ((2, half), (3, half)), ((1, half), (3, half)), ((3, ONE),))
+    pmc = PMC(states, 0, edges, ())
+    with pytest.raises(NotWellFormed):
+        reach_prob(pmc, {}, {3})
+    mdp = substitute(relax(pmc), Region((), ()))
+    with pytest.raises(NotWellFormed):
+        extremal_reach(mdp, {3}, "max")
+
+
+def restart_corner_chain():
+    """The initial state restarts with probability 2x and splits the rest
+    evenly between a target and a dead leaf; x in [1/4, 1/2]."""
+    states = (StateLabel(0, ()), StateLabel(1, (("V", "a"),)), StateLabel(1, (("V", "b"),)))
+    rest = (ONE - C(2) * X) * C(Fraction(1, 2))
+    edges = (((0, C(2) * X), (1, rest), (2, rest)), ((1, ONE),), ((2, ONE),))
+    return PMC(states, 0, edges, (("x", (Fraction(1, 4), Fraction(1, 2))),))
+
+
+def test_corner_that_always_restarts_has_value_zero():
+    # At x = 1/2 every path restarts forever, so the least fixed point is 0;
+    # every other x reaches the target with probability 1/2.
+    pmc = restart_corner_chain()
+    box = toy_box("1/4", "1/2")
+    mdp = substitute(relax(pmc), box)
+    assert extremal_reach(mdp, {1}, "min") == 0.0
+    assert extremal_reach(mdp, {1}, "max") == 0.5
+    lo, hi = region_bounds(pmc, {1}, box)
+    assert lo == 0.0 and 0.5 <= hi <= 0.5 + 1e-12
+
+
+def test_bounds_bracket_exact_corner_values_tightly(covid_pbn, covid_constraint):
+    # Each COVID parameter sits in one state, so the box's extremes are at its
+    # corners: the padded bounds must contain every corner's exact value and
+    # exceed the extremes by no more than rounding.
+    pmc, spec = compile_tailored(covid_pbn, covid_constraint)
+    form = sensitivity_function(pmc, spec.targets)
+    verifier = RegionVerifier(pmc, spec)
+    rng = random.Random(300)
+    for _ in range(300):
+        bounds = {
+            name: sorted(Fraction(rng.randint(1, 999), 1000) for _ in range(2))
+            for name in ("p", "q")
+        }
+        box = Region.from_bounds(bounds)
+        lo, hi = verifier.bounds(box)
+        corners = [form.evaluate({"p": a, "q": b}) for a in bounds["p"] for b in bounds["q"]]
+        assert Fraction(lo) <= min(corners) and max(corners) <= Fraction(hi)
+        assert Fraction(hi) - max(corners) <= Fraction(1, 10**12)
+        assert min(corners) - Fraction(lo) <= Fraction(1, 10**12)
 
 
 def verdict_of(toy_pbn, direction, threshold, box=("1/5", "3/5")):

@@ -146,6 +146,20 @@ def test_reach_matches_closed_form_pointwise(tailored):
     assert got == pytest.approx(covid_posterior(0.92075, 0.97475), abs=1e-10)
 
 
+def test_reach_is_within_rounding_of_the_closed_form(tailored):
+    # The leveled solve divides two sums of non-negative products, so it
+    # keeps (nearly) full float precision; the dense solve it replaced was
+    # up to about 1800 units in the last place off.
+    pmc, spec = tailored
+    form = sensitivity_function(pmc, spec.targets)
+    rng = random.Random(2024)
+    for _ in range(2000):
+        u = {name: Fraction(rng.randint(1, 9999), 10000) for name in ("p", "q")}
+        exact = form.evaluate(u)
+        got = reach_prob(pmc, u, spec.targets)
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * exact
+
+
 def test_reach_agrees_with_enumeration(tailored, covid_pbn, covid_constraint):
     pmc, spec = tailored
     rng = random.Random(7)

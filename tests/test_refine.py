@@ -180,10 +180,10 @@ def screening_setup(covid_pbn, covid_constraint):
     return pmc, spec, region
 
 
-def test_parallel_partition_is_valid_and_deterministic(covid_pbn, covid_constraint):
+def test_partition_is_valid_and_deterministic(covid_pbn, covid_constraint):
     pmc, spec, region = screening_setup(covid_pbn, covid_constraint)
-    res = partition(pmc, spec, region, eta=Fraction(9, 10), workers=4)
-    again = partition(pmc, spec, region, eta=Fraction(9, 10), workers=4)
+    res = partition(pmc, spec, region, eta=Fraction(9, 10))
+    again = partition(pmc, spec, region, eta=Fraction(9, 10))
     assert res == again
     assert res.coverage >= Fraction(9, 10)
     assert sum(b.volume() for b in all_boxes(res)) == region.volume()
