@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import BadRegion, NotWellFormed, TooLarge, UnboundParameter
 from .pmc import PMC, LeveledSolver, ReachSpec, StateLabel
@@ -51,6 +52,56 @@ class RelaxedPMC:
     @property
     def origin_map(self) -> dict[str, str]:
         return dict(self.origin)
+
+    @cached_property
+    def _plan(self) -> "_Plan":
+        """The part of :func:`substitute` that no box changes, built once.
+
+        Raises what :func:`substitute` raises for the chain itself: an
+        undeclared parameter, too many parameters in one state, or a
+        parameter-free state whose weights are not a sub-distribution.
+        """
+        pmc = self.pmc
+        origin = self.origin_map
+        declared: dict[str, tuple[Fraction, Fraction]] = {}
+        for name, (dlb, dub) in pmc.params:
+            source = origin.get(name, name)
+            lb, ub = declared.get(source, (dlb, dub))
+            declared[source] = (max(lb, dlb), min(ub, dub))
+        names = {name for name, _ in pmc.params}
+        actions: list[tuple | None] = []
+        parametric = []
+        for s, out in enumerate(pmc.edges):
+            local = sorted({p for _, w in out for p in w.parameters})
+            unknown = [p for p in local if p not in names]
+            if unknown:
+                raise UnboundParameter(f"chain uses undeclared parameter(s) {unknown}")
+            if len(local) > LOCAL_PARAM_GUARD:
+                raise TooLarge(
+                    f"{len(local)} parameters in one state exceed the guard of {LOCAL_PARAM_GUARD}"
+                )
+            if local:
+                parametric.append((s, tuple(local), tuple(origin.get(p, p) for p in local)))
+                actions.append(None)
+            else:
+                actions.append((_distribution(out, {}),))
+        return _Plan(tuple(declared.items()), tuple(actions), tuple(parametric))
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What :func:`substitute` reuses for every box of one relaxed chain.
+
+    ``declared`` gives each origin parameter the interval that all of its
+    copies declare.  ``actions[s]`` is the single action of a parameter-free
+    state, shared by every box, and ``None`` for a parametric one.
+    ``parametric`` lists each parametric state with its sorted local
+    parameters and their origins.
+    """
+
+    declared: tuple[tuple[str, tuple[Fraction, Fraction]], ...]
+    actions: tuple[tuple[tuple[tuple[int, float], ...], ...] | None, ...]
+    parametric: tuple[tuple[int, tuple[str, ...], tuple[str, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -116,13 +167,13 @@ def substitute(relaxed: RelaxedPMC, region: Region) -> BoundMDP:
     ``region`` ranges over the *original* parameter names; each copy inherits
     the interval of its origin.  The region must lie inside the intervals the
     chain declares for its parameters.  Each weight is its exact value at the
-    corner, rounded once, as the solver's rounding bound assumes.
+    corner, rounded once, as the solver's rounding bound assumes.  Only the
+    parametric states are evaluated per box; the parameter-free states share
+    the actions of the relaxed chain's plan, built on the first call.
     """
-    pmc = relaxed.pmc
-    origin = relaxed.origin_map
-    local_interval: dict[str, tuple[Fraction, Fraction]] = {}
-    for name, (dlb, dub) in pmc.params:
-        source = origin.get(name, name)
+    plan = relaxed._plan
+    choices: dict[str, tuple[Fraction, ...]] = {}
+    for source, (dlb, dub) in plan.declared:
         try:
             lb, ub = region.interval(source)
         except KeyError:
@@ -131,39 +182,32 @@ def substitute(relaxed: RelaxedPMC, region: Region) -> BoundMDP:
             raise BadRegion(
                 f"interval [{lb}, {ub}] for {source!r} leaves the declared [{dlb}, {dub}]"
             )
-        local_interval[name] = (lb, ub)
+        choices[source] = (lb,) if lb == ub else (lb, ub)
 
-    all_actions = []
-    for out in pmc.edges:
-        local = sorted({p for _, w in out for p in w.parameters})
-        unknown = [p for p in local if p not in local_interval]
-        if unknown:
-            raise UnboundParameter(f"chain uses undeclared parameter(s) {unknown}")
-        if len(local) > LOCAL_PARAM_GUARD:
-            raise TooLarge(
-                f"{len(local)} parameters in one state exceed the guard of {LOCAL_PARAM_GUARD}"
-            )
-        choices = []
-        for name in local:
-            lb, ub = local_interval[name]
-            choices.append((lb,) if lb == ub else (lb, ub))
+    pmc = relaxed.pmc
+    all_actions = list(plan.actions)
+    for s, local, sources in plan.parametric:
         state_actions: dict[tuple[tuple[int, float], ...], None] = {}
-        for corner in itertools.product(*choices):
-            point = dict(zip(local, corner))
-            distribution = []
-            total = 0.0
-            for t, w in out:
-                p = w.evaluate_rounded(point)
-                if not -1e-9 <= p <= 1 + 1e-9:
-                    raise NotWellFormed(f"weight {w} evaluates to {p} outside [0, 1]")
-                p = min(max(p, 0.0), 1.0)
-                distribution.append((t, p))
-                total += p
-            if total > 1 + 1e-7:
-                raise NotWellFormed(f"outgoing mass {total} exceeds 1")
-            state_actions[tuple(distribution)] = None
-        all_actions.append(tuple(state_actions))
+        for corner in itertools.product(*(choices[source] for source in sources)):
+            state_actions[_distribution(pmc.edges[s], dict(zip(local, corner)))] = None
+        all_actions[s] = tuple(state_actions)
     return BoundMDP(pmc.states, pmc.initial, tuple(all_actions))
+
+
+def _distribution(out, point) -> tuple[tuple[int, float], ...]:
+    """One state's weights at ``point``, checked to form a sub-distribution."""
+    distribution = []
+    total = 0.0
+    for t, w in out:
+        p = w.evaluate_rounded(point)
+        if not -1e-9 <= p <= 1 + 1e-9:
+            raise NotWellFormed(f"weight {w} evaluates to {p} outside [0, 1]")
+        p = min(max(p, 0.0), 1.0)
+        distribution.append((t, p))
+        total += p
+    if total > 1 + 1e-7:
+        raise NotWellFormed(f"outgoing mass {total} exceeds 1")
+    return tuple(distribution)
 
 
 # -- optimal reachability in the bounding process ---------------------------
@@ -192,11 +236,14 @@ def extremal_reach(
 class RegionVerifier:
     """Checks many boxes against one constraint, reusing work across calls.
 
-    The relaxation and the solver's structure check and level order are
-    shared between calls, which matters when a partitioning loop verifies
-    thousands of sibling boxes.  Sharing the level order is sound because it
-    depends only on which edges the chain has, and every box's process keeps
-    exactly the chain's edges.
+    The relaxation, its substitution plan and the solver's structure check
+    and level order are shared between calls, which matters when a
+    partitioning loop verifies thousands of sibling boxes.  Sharing the level
+    order is sound because it depends only on which edges the chain has, and
+    every box's process keeps exactly the chain's edges.  On the first box the
+    solver also settles the states whose values no box can change: those
+    whose action is parameter-free and whose successors are settled or
+    restart (see :meth:`LeveledSolver.settle`).
     """
 
     def __init__(self, pmc: PMC, spec: ReachSpec):
@@ -205,6 +252,16 @@ class RegionVerifier:
         self.verifications = 0
         chain = self.relaxed.pmc
         self.solver = LeveledSolver(chain.states, chain.initial, chain.edges, spec.targets)
+        self._settled = False
+
+    def _substitute(self, region: Region) -> BoundMDP:
+        mdp = substitute(self.relaxed, region)
+        if not self._settled:
+            plan = self.relaxed._plan
+            fixed = {s for s, action in enumerate(plan.actions) if action is not None}
+            self.solver.settle(mdp.actions, fixed)
+            self._settled = True
+        return mdp
 
     def _bound(self, mdp: BoundMDP, maximize: bool) -> float:
         """The optimum, padded outwards by the solver's rounding bound."""
@@ -220,13 +277,13 @@ class RegionVerifier:
         their rounding error derived there, so the returned pair still
         brackets the true range.
         """
-        mdp = substitute(self.relaxed, region)
+        mdp = self._substitute(region)
         return self._bound(mdp, False), self._bound(mdp, True)
 
     def verify(self, region: Region) -> Verdict:
         """Classify the box, computing only the bounds the decision needs."""
         self.verifications += 1
-        mdp = substitute(self.relaxed, region)
+        mdp = self._substitute(region)
         threshold = float(self.spec.threshold)
         if self.spec.direction == "<=":
             if self._bound(mdp, True) <= threshold - MARGIN:

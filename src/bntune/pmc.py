@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .bn import BayesNet, Constraint, Instantiation, ParamBN, topological_order
@@ -243,10 +242,12 @@ def compile_tailored(
 def _check_evidence_reachable(chain: PMC, u0: Instantiation | None, n_levels: int) -> None:
     """The evidence is possible iff some absorbing leaf is reachable via positive edges."""
 
+    point = None if u0 is None else {k: float(v) for k, v in u0.items()}
+
     def positive(weight: Polynomial) -> bool:
-        if u0 is None:
+        if point is None:
             return not weight.is_zero()
-        return weight.evaluate_numeric({k: float(v) for k, v in u0.items()}) > 0.0
+        return weight.evaluate_numeric(point) > 0.0
 
     stack = [chain.initial]
     visited = {chain.initial}
@@ -342,6 +343,33 @@ class LeveledSolver:
         m = 2 * len(set(levels)) * (degree + 1) + 1
         #: Relative pad that makes a computed value a sound bound (see above).
         self.pad = 2 * m * 2.0**-53 / (1 - m * 2.0**-53)
+
+    def settle(self, actions, fixed: Iterable[int]) -> None:
+        """Fold the states whose T and E no box and no x can change into the base values.
+
+        ``fixed`` names states whose single action in ``actions`` every later
+        call passes unchanged.  Such a state is *settled* when each of its
+        successors is settled (leaves and targets are) or is the initial
+        state, whose T and E a pass reads as their base values.  Settled
+        states leave the pass order; their T and E come from the same float
+        operations, in the same order, that :meth:`_round` would apply, so
+        every later value is the same float.
+        """
+        fixed = set(fixed)
+        live = set(self._order)
+        for s in self._order:  # successors come first, being one level deeper
+            if s == self.initial or s not in fixed:
+                continue
+            (action,) = actions[s]
+            if any(succ in live and succ != self.initial for succ, _ in action):
+                continue
+            t = e = 0.0
+            for succ, p in action:
+                t += p * self._base_t[succ]
+                e += p * self._base_e[succ]
+            self._base_t[s], self._base_e[s] = t, e
+            live.discard(s)
+        self._order = [s for s in self._order if s in live]
 
     def _round(self, actions, x: float, maximize: bool) -> tuple[float, float]:
         """T and E at the initial state under the greedy policy at ``x``."""

@@ -165,12 +165,26 @@ class Polynomial:
 
         The result is within half a unit in the last place of the true value,
         which :meth:`evaluate_numeric` cannot promise: its ``c - c*x`` loses
-        relative accuracy as ``x`` nears 1.
+        relative accuracy as ``x`` nears 1.  The value is accumulated as one
+        integer numerator over one integer denominator; Python's int/int
+        division rounds correctly, so the result equals ``float`` of the exact
+        ``Fraction``.  Parameters missing from ``u`` raise
+        :class:`UnboundParameter`.
         """
-        if len(self.terms) == 1 and not self.terms[0][0]:
-            coeff = self.terms[0][1]
-            return coeff.numerator / coeff.denominator  # int division rounds once
-        return float(self.evaluate(u))
+        num, den = 0, 1
+        try:
+            for mono, coeff in self.terms:
+                term_num, term_den = coeff.numerator, coeff.denominator
+                for name, exp in mono:
+                    value = u[name]
+                    term_num *= value.numerator**exp
+                    term_den *= value.denominator**exp
+                num = num * term_den + term_num * den
+                den *= term_den
+        except KeyError:
+            missing = sorted(self.parameters - u.keys())
+            raise UnboundParameter(f"no value for parameter(s) {missing}") from None
+        return num / den
 
     def evaluate_numeric(self, u: Mapping[str, float]):
         """Float evaluation; also broadcasts over numpy arrays passed as values."""

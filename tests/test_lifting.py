@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,8 +17,11 @@ from bntune import (
     parametrize,
     reach_prob,
 )
+from bntune.bn import Constraint
 from bntune.errors import BadRegion, NotWellFormed, TooLarge, UnboundParameter
 from bntune.lifting import (
+    MARGIN,
+    BoundMDP,
     RegionVerifier,
     Verdict,
     extremal_reach,
@@ -25,10 +29,20 @@ from bntune.lifting import (
     relax,
     substitute,
 )
-from bntune.pmc import PMC, ReachSpec, StateLabel, sensitivity_function
+from bntune.pmc import PMC, LeveledSolver, ReachSpec, StateLabel, sensitivity_function
 from bntune.oracle import infer
 from bntune import instantiate, net_from_tables
-from conftest import CP, CQ, build_covid_net, state_index
+from conftest import (
+    CP,
+    CQ,
+    build_covid_constraint,
+    build_covid_net,
+    build_covid_pbn,
+    random_constraint,
+    random_net,
+    random_parametrization,
+    state_index,
+)
 
 X = Polynomial.parameter("x")
 C = Polynomial.constant
@@ -106,8 +120,6 @@ def test_substitute_screening_example():
     net = build_covid_net()
     coord = ("Antigen", ("no", "no"), 0)
     pbn = parametrize(net, [coord], {coord: "t"})
-    from conftest import build_covid_constraint
-
     pmc, _ = compile_tailored(pbn, build_covid_constraint())
     src = state_index(pmc, 2, (("COVID-19", "no"), ("Symptoms", "no")), hypothesis=True)
     box = Region.from_bounds({"t": (Fraction(75, 10000), Fraction(125, 10000))})
@@ -163,6 +175,21 @@ def test_substitute_rejects_weights_leaving_the_unit_interval():
     pmc = PMC(states, 0, edges, (("x", (Fraction(4, 10), Fraction(6, 10))),))
     with pytest.raises(NotWellFormed):
         substitute(relax(pmc), toy_box("2/5", "3/5"))
+
+
+def test_constant_weight_error_comes_from_substitute_not_the_constructor():
+    # s1 is parameter-free, so its weight 3/2 is checked once per relaxed
+    # chain; the check still runs on the first substitution, not earlier.
+    states = (StateLabel(0, ()), StateLabel(1, (("V", "a"),)), StateLabel(1, (("V", "b"),)),
+              StateLabel(2, (("W", "a"),)), StateLabel(2, (("W", "b"),)))
+    edges = (((1, X), (2, ONE - X)), ((3, C(Fraction(3, 2))),), ((4, ONE),), ((3, ONE),),
+             ((4, ONE),))
+    pmc = PMC(states, 0, edges, (("x", (Fraction(1, 5), Fraction(3, 5))),))
+    verifier = RegionVerifier(pmc, ReachSpec(frozenset({3}), "<=", Fraction(1, 2)))
+    with pytest.raises(NotWellFormed):
+        substitute(relax(pmc), toy_box("1/5", "3/5"))
+    with pytest.raises(NotWellFormed):
+        verifier.verify(toy_box("1/5", "3/5"))
 
 
 def test_substitute_guards_state_local_parameter_blowup():
@@ -255,6 +282,93 @@ def test_bounds_bracket_exact_corner_values_tightly(covid_pbn, covid_constraint)
         assert Fraction(lo) <= min(corners) and max(corners) <= Fraction(hi)
         assert Fraction(hi) - max(corners) <= Fraction(1, 10**12)
         assert min(corners) - Fraction(lo) <= Fraction(1, 10**12)
+
+
+def chain30():
+    """The 30-node copy chain with parameters at levels 0 and 15, evidence on V5."""
+    variables = [("V0", ("yes", "no"), ())]
+    tables = {"V0": {(): ("0.5", "0.5")}}
+    for i in range(1, 30):
+        variables.append((f"V{i}", ("yes", "no"), (f"V{i - 1}",)))
+        tables[f"V{i}"] = {("yes",): ("0.95", "0.05"), ("no",): ("0.05", "0.95")}
+    coords = [("V0", (), 0), ("V15", ("yes",), 0)]
+    pbn = parametrize(net_from_tables(variables, tables), coords,
+                      {coords[0]: "x", coords[1]: "y"})
+    return pbn, Constraint((("V29", "yes"),), (("V5", "yes"),), "<=", Fraction(535, 1000))
+
+
+def restart_heavy_net():
+    """A seeded random net whose tailored chain has 25 restart edges and
+    parameters shared between states (so relaxation makes copies)."""
+    rng = random.Random(330)
+    net = random_net(rng, max_nodes=6)
+    pbn = random_parametrization(rng, net)
+    return pbn, random_constraint(rng, net)
+
+
+def random_box(rng: random.Random, pbn) -> Region:
+    """A sub-box of the declared space on a 1/1000 grid; some axes degenerate."""
+    bounds = {}
+    for name in pbn.parameter_names:
+        lo, hi = pbn.interval(name)
+        ends = sorted(rng.randint(1, 999) for _ in range(2 if rng.random() < 0.9 else 1))
+        bounds[name] = tuple(lo + (hi - lo) * Fraction(k, 1000) for k in (ends[0], ends[-1]))
+    return Region.from_bounds(bounds)
+
+
+def reference_bounds(pmc: PMC, targets, region: Region) -> tuple[float, float]:
+    """Bounds from scratch: every weight at every corner in Fractions, then float()."""
+    relaxed = relax(pmc)
+    chain, origin = relaxed.pmc, relaxed.origin_map
+    actions = []
+    for out in chain.edges:
+        local = sorted({name for _, w in out for name in w.parameters})
+        axes = [sorted(set(region.interval(origin[name]))) for name in local]
+        distributions = {}
+        for corner in itertools.product(*axes):
+            point = dict(zip(local, corner))
+            distributions[tuple((t, float(w.evaluate(point))) for t, w in out)] = None
+        actions.append(tuple(distributions))
+    mdp = BoundMDP(chain.states, chain.initial, tuple(actions))
+    pad = LeveledSolver(chain.states, chain.initial, chain.edges, targets).pad
+    lo = max(extremal_reach(mdp, targets, "min") * (1 - pad), 0.0)
+    hi = min(extremal_reach(mdp, targets, "max") * (1 + pad), 1.0)
+    return lo, hi
+
+
+def reference_verdict(spec: ReachSpec, lo: float, hi: float) -> Verdict:
+    threshold = float(spec.threshold)
+    if spec.direction == "<=":
+        if hi <= threshold - MARGIN:
+            return Verdict.ACCEPTING
+        return Verdict.REJECTING if lo > threshold + MARGIN else Verdict.INCONCLUSIVE
+    if lo >= threshold + MARGIN:
+        return Verdict.ACCEPTING
+    return Verdict.REJECTING if hi < threshold - MARGIN else Verdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: (build_covid_pbn(), build_covid_constraint()), chain30, restart_heavy_net],
+    ids=["covid", "chain30", "restart-heavy"],
+)
+def test_long_lived_verifier_matches_a_from_scratch_reference(build):
+    # One verifier serves every box, so its substitution plan and its settled
+    # states are reused; each box must still give exactly the bounds and the
+    # verdict of a reference that shares nothing with it.
+    pbn, constraint = build()
+    pmc, spec = compile_tailored(pbn, constraint)
+    verifier = RegionVerifier(pmc, spec)
+    rng = random.Random(4)
+    verdicts = set()
+    for _ in range(300):
+        box = random_box(rng, pbn)
+        lo, hi = reference_bounds(pmc, spec.targets, box)
+        assert verifier.bounds(box) == (lo, hi)
+        verdict = verifier.verify(box)
+        assert verdict is reference_verdict(spec, lo, hi)
+        verdicts.add(verdict)
+    assert len(verdicts) >= 2
 
 
 def verdict_of(toy_pbn, direction, threshold, box=("1/5", "3/5")):

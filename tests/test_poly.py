@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,41 @@ def test_eval_complement_is_exact_on_decimals():
 def test_eval_missing_parameter():
     with pytest.raises(UnboundParameter):
         (X1 + X2).evaluate({"x1": 1})
+
+
+def random_polynomial(rng: random.Random) -> Polynomial:
+    """Up to four terms over x1..x3 with exponents up to 2 and signed coefficients."""
+    total = ZERO
+    for _ in range(rng.randint(0, 4)):
+        term = Polynomial.constant(Fraction(rng.randint(-60, 60), rng.randint(1, 40)))
+        for name in rng.sample(["x1", "x2", "x3"], rng.randint(0, 3)):
+            for _ in range(rng.randint(1, 2)):
+                term = term * Polynomial.parameter(name)
+        total = total + term
+    return total
+
+
+def random_argument(rng: random.Random) -> int | Fraction:
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-3, 3)
+    if kind == 1:
+        return Fraction(rng.randint(-2**20, 2**20), 2 ** rng.randint(0, 60))  # dyadic
+    return Fraction(rng.randint(-10**6, 10**6), 10 ** rng.randint(0, 9))  # decimal
+
+
+def test_evaluate_rounded_is_the_exact_value_rounded_once():
+    rng = random.Random(2024)
+    polys = [ZERO, Polynomial.constant(Fraction(-7, 3)), X1 * X1 - X2 * X1 + Polynomial.constant(1)]
+    polys += [random_polynomial(rng) for _ in range(2000)]
+    for f in polys:
+        u = {name: random_argument(rng) for name in ("x1", "x2", "x3")}
+        value = f.evaluate_rounded(u)
+        assert type(value) is float
+        assert value == float(f.evaluate(u))
+    assert ZERO.evaluate_rounded({}) == 0.0
+    with pytest.raises(UnboundParameter):
+        (X1 + X2).evaluate_rounded({"x1": Fraction(1, 2)})
 
 
 def test_eval_float_inputs_stay_floating():
