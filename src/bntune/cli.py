@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from fractions import Fraction
@@ -281,11 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="1e-6",
         help="distance kept from the probabilities 0 and 1 (default 1e-6)",
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        help="seed for randomized heuristics (the current pipeline is deterministic)",
-    )
     common.add_argument("-o", "--output", help="write the JSON result to this file")
 
     with_params = argparse.ArgumentParser(add_help=False)
@@ -354,8 +348,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if getattr(args, "seed", None) is not None:
-        random.seed(args.seed)
     started = time.perf_counter()
     try:
         payload, code = args.handler(args)

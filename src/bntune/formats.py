@@ -17,7 +17,8 @@ A parameter file selects tunable entries::
 
 A constraint is a single line like ``P(Covid=no | Antigen=pos & PCR=pos) <= 0.009``.
 ``#`` starts a comment that runs to the end of the line.  All numbers are read
-exactly (decimal strings become exact rationals).
+exactly (decimal strings become exact rationals); a decimal exponent above
+10 000 in magnitude is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -129,6 +130,14 @@ class _Scanner:
                              token.line, token.column)
         return self.advance()
 
+    def number(self, what: str) -> Fraction:
+        """A number token, read exactly."""
+        token = self.expect(kind="number", what=what)
+        try:
+            return as_fraction(token.text)
+        except ValueError as exc:
+            raise ParseError(str(exc), token.line, token.column) from None
+
     def label(self) -> str:
         """A name used as a variable/value label (numbers are allowed as labels)."""
         token = self.peek()
@@ -211,9 +220,9 @@ def _parse_cpt_block(scanner: _Scanner, renormalize: bool):
         opening = scanner.expect("(")
         key: tuple[str, ...] = () if scanner.accept(")") else tuple(scanner.label_list(")"))
         scanner.expect(":")
-        numbers = [as_fraction(scanner.expect(kind="number", what="a probability").text)]
+        numbers = [scanner.number("a probability")]
         while scanner.accept(","):
-            numbers.append(as_fraction(scanner.expect(kind="number", what="a probability").text))
+            numbers.append(scanner.number("a probability"))
         scanner.expect(";")
         rows.append((key, _checked_row(owner, key, numbers, renormalize, opening)))
     return owner, rows
@@ -278,9 +287,9 @@ def parse_param_spec(text: str, net: BayesNet, *, delta=DEFAULT_DELTA) -> ParamB
                         kind.column,
                     )
             elif clause.text == "interval":
-                lb = as_fraction(scanner.expect(kind="number", what="a bound").text)
+                lb = scanner.number("a bound")
                 scanner.expect(",")
-                ub = as_fraction(scanner.expect(kind="number", what="a bound").text)
+                ub = scanner.number("a bound")
                 scanner.expect(";")
                 intervals[pname] = (lb, ub)
             else:

@@ -1,12 +1,12 @@
 """Sound verification of a reachability constraint over a whole parameter box.
 
-Instead of solving the parametric system, every state first gets a private
-copy of each parameter appearing on its outgoing edges (*relaxation*, which
-can only widen the set of reachable probabilities).  Over the relaxed box the
-extremal reachability values are attained when each state independently picks
-an endpoint of its local intervals, so substituting all endpoint combinations
-per state yields a small Markov decision process whose optimal values bracket
-the original probability on the box from both sides.
+Instead of solving the parametric system, each state chooses the values of
+the parameters on its outgoing edges independently of the other states
+(*relaxation*, which can only widen the set of reachable probabilities).  Over
+the relaxed box the extremal reachability values are attained when each state
+independently picks an endpoint of its own intervals, so substituting all
+endpoint combinations per state yields a small Markov decision process whose
+optimal values bracket the original probability on the box from both sides.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import BadRegion, NotWellFormed, TooLarge, UnboundParameter
 from .pmc import PMC, LeveledSolver, ReachSpec, StateLabel
@@ -40,68 +39,16 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class RelaxedPMC:
-    """A chain whose parameters are private to single states.
+    """A chain prepared for substitution; ``pmc`` is the original chain.
 
-    ``origin`` maps each (possibly copied) parameter back to the parameter of
-    the underlying chain it was copied from.
+    ``actions[s]`` is the single action of a parameter-free state, shared by
+    every box, and ``None`` for a parametric one.  ``parametric`` lists each
+    parametric state with its sorted own parameter names.
     """
 
     pmc: PMC
-    origin: tuple[tuple[str, str], ...]
-
-    @property
-    def origin_map(self) -> dict[str, str]:
-        return dict(self.origin)
-
-    @cached_property
-    def _plan(self) -> "_Plan":
-        """The part of :func:`substitute` that no box changes, built once.
-
-        Raises what :func:`substitute` raises for the chain itself: an
-        undeclared parameter, too many parameters in one state, or a
-        parameter-free state whose weights are not a sub-distribution.
-        """
-        pmc = self.pmc
-        origin = self.origin_map
-        declared: dict[str, tuple[Fraction, Fraction]] = {}
-        for name, (dlb, dub) in pmc.params:
-            source = origin.get(name, name)
-            lb, ub = declared.get(source, (dlb, dub))
-            declared[source] = (max(lb, dlb), min(ub, dub))
-        names = {name for name, _ in pmc.params}
-        actions: list[tuple | None] = []
-        parametric = []
-        for s, out in enumerate(pmc.edges):
-            local = sorted({p for _, w in out for p in w.parameters})
-            unknown = [p for p in local if p not in names]
-            if unknown:
-                raise UnboundParameter(f"chain uses undeclared parameter(s) {unknown}")
-            if len(local) > LOCAL_PARAM_GUARD:
-                raise TooLarge(
-                    f"{len(local)} parameters in one state exceed the guard of {LOCAL_PARAM_GUARD}"
-                )
-            if local:
-                parametric.append((s, tuple(local), tuple(origin.get(p, p) for p in local)))
-                actions.append(None)
-            else:
-                actions.append((_distribution(out, {}),))
-        return _Plan(tuple(declared.items()), tuple(actions), tuple(parametric))
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """What :func:`substitute` reuses for every box of one relaxed chain.
-
-    ``declared`` gives each origin parameter the interval that all of its
-    copies declare.  ``actions[s]`` is the single action of a parameter-free
-    state, shared by every box, and ``None`` for a parametric one.
-    ``parametric`` lists each parametric state with its sorted local
-    parameters and their origins.
-    """
-
-    declared: tuple[tuple[str, tuple[Fraction, Fraction]], ...]
     actions: tuple[tuple[tuple[tuple[int, float], ...], ...] | None, ...]
-    parametric: tuple[tuple[int, tuple[str, ...], tuple[str, ...]], ...]
+    parametric: tuple[tuple[int, tuple[str, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -122,73 +69,61 @@ class BoundMDP:
 
 
 def relax(pmc: PMC) -> RelaxedPMC:
-    """Give each state a private copy of every parameter it shares with another state.
+    """Do the part of :func:`substitute` that no box changes, once.
 
-    A parameter used by at most one state keeps its name.  Reachability
-    probabilities over a box of the copies bound those of the original box,
-    because the original behaviours (all copies equal) remain available.
+    Each state chooses a corner of its own parameters' intervals
+    independently of the others, which relaxes a parameter shared across
+    states to one free value per state; the chain itself is kept.  Raises
+    :class:`UnboundParameter` for an undeclared parameter, :class:`TooLarge`
+    for too many parameters in one state, and :class:`NotWellFormed` for a
+    parameter-free state whose weights are not a sub-distribution.
     """
-    occurrences: dict[str, list[int]] = {}
+    names = set(pmc.parameter_names)
+    actions: list[tuple | None] = []
+    parametric = []
     for s, out in enumerate(pmc.edges):
-        mentioned: set[str] = set()
-        for _, weight in out:
-            mentioned.update(weight.parameters)
-        for name in sorted(mentioned):
-            occurrences.setdefault(name, []).append(s)
-
-    rename_per_state: dict[int, dict[str, str]] = {}
-    origin: list[tuple[str, str]] = []
-    new_params: list[tuple[str, tuple[Fraction, Fraction]]] = []
-    for name, interval in pmc.params:
-        states = occurrences.get(name, [])
-        if len(states) >= 2:
-            for s in states:
-                copy = f"{name}@{s}"
-                rename_per_state.setdefault(s, {})[name] = copy
-                origin.append((copy, name))
-                new_params.append((copy, interval))
+        local = sorted({p for _, w in out for p in w.parameters})
+        unknown = [p for p in local if p not in names]
+        if unknown:
+            raise UnboundParameter(f"chain uses undeclared parameter(s) {unknown}")
+        if len(local) > LOCAL_PARAM_GUARD:
+            raise TooLarge(
+                f"{len(local)} parameters in one state exceed the guard of {LOCAL_PARAM_GUARD}"
+            )
+        if local:
+            parametric.append((s, tuple(local)))
+            actions.append(None)
         else:
-            origin.append((name, name))
-            new_params.append((name, interval))
-
-    if not rename_per_state:
-        return RelaxedPMC(pmc, tuple(origin))
-    new_edges = tuple(
-        tuple((t, w.rename(rename_per_state.get(s, {}))) for t, w in out)
-        for s, out in enumerate(pmc.edges)
-    )
-    relaxed = PMC(pmc.states, pmc.initial, new_edges, tuple(new_params))
-    return RelaxedPMC(relaxed, tuple(origin))
+            actions.append((_distribution(out, {}),))
+    return RelaxedPMC(pmc, tuple(actions), tuple(parametric))
 
 
 def substitute(relaxed: RelaxedPMC, region: Region) -> BoundMDP:
-    """Instantiate every endpoint combination of each state's local parameters.
+    """Instantiate every endpoint combination of each state's own parameters.
 
-    ``region`` ranges over the *original* parameter names; each copy inherits
-    the interval of its origin.  The region must lie inside the intervals the
-    chain declares for its parameters.  Each weight is its exact value at the
-    corner, rounded once, as the solver's rounding bound assumes.  Only the
-    parametric states are evaluated per box; the parameter-free states share
-    the actions of the relaxed chain's plan, built on the first call.
+    The region must give every parameter of the chain an interval inside the
+    declared one.  Each weight is its exact value at the corner, rounded
+    once, as the solver's rounding bound assumes.  Only the parametric states
+    are evaluated per box; the parameter-free states share the actions that
+    :func:`relax` built.
     """
-    plan = relaxed._plan
     choices: dict[str, tuple[Fraction, ...]] = {}
-    for source, (dlb, dub) in plan.declared:
+    for name, (dlb, dub) in relaxed.pmc.params:
         try:
-            lb, ub = region.interval(source)
+            lb, ub = region.interval(name)
         except KeyError:
-            raise UnboundParameter(f"region gives no interval for parameter {source!r}") from None
+            raise UnboundParameter(f"region gives no interval for parameter {name!r}") from None
         if lb < dlb or ub > dub:
             raise BadRegion(
-                f"interval [{lb}, {ub}] for {source!r} leaves the declared [{dlb}, {dub}]"
+                f"interval [{lb}, {ub}] for {name!r} leaves the declared [{dlb}, {dub}]"
             )
-        choices[source] = (lb,) if lb == ub else (lb, ub)
+        choices[name] = (lb,) if lb == ub else (lb, ub)
 
     pmc = relaxed.pmc
-    all_actions = list(plan.actions)
-    for s, local, sources in plan.parametric:
+    all_actions = list(relaxed.actions)
+    for s, local in relaxed.parametric:
         state_actions: dict[tuple[tuple[int, float], ...], None] = {}
-        for corner in itertools.product(*(choices[source] for source in sources)):
+        for corner in itertools.product(*(choices[name] for name in local)):
             state_actions[_distribution(pmc.edges[s], dict(zip(local, corner)))] = None
         all_actions[s] = tuple(state_actions)
     return BoundMDP(pmc.states, pmc.initial, tuple(all_actions))
@@ -236,32 +171,21 @@ def extremal_reach(
 class RegionVerifier:
     """Checks many boxes against one constraint, reusing work across calls.
 
-    The relaxation, its substitution plan and the solver's structure check
-    and level order are shared between calls, which matters when a
-    partitioning loop verifies thousands of sibling boxes.  Sharing the level
-    order is sound because it depends only on which edges the chain has, and
-    every box's process keeps exactly the chain's edges.  On the first box the
-    solver also settles the states whose values no box can change: those
-    whose action is parameter-free and whose successors are settled or
-    restart (see :meth:`LeveledSolver.settle`).
+    The relaxation and the solver's structure check and level order are
+    shared between calls, which matters when a partitioning loop verifies
+    thousands of sibling boxes.  Sharing the level order is sound because it
+    depends only on which edges the chain has, and every box's process keeps
+    exactly the chain's edges.  The constructor also settles the states whose
+    values no box can change: those whose action is parameter-free and whose
+    successors are settled or restart (see :meth:`LeveledSolver.settle`).
     """
 
     def __init__(self, pmc: PMC, spec: ReachSpec):
         self.spec = spec
         self.relaxed = relax(pmc)
         self.verifications = 0
-        chain = self.relaxed.pmc
-        self.solver = LeveledSolver(chain.states, chain.initial, chain.edges, spec.targets)
-        self._settled = False
-
-    def _substitute(self, region: Region) -> BoundMDP:
-        mdp = substitute(self.relaxed, region)
-        if not self._settled:
-            plan = self.relaxed._plan
-            fixed = {s for s, action in enumerate(plan.actions) if action is not None}
-            self.solver.settle(mdp.actions, fixed)
-            self._settled = True
-        return mdp
+        self.solver = LeveledSolver(pmc.states, pmc.initial, pmc.edges, spec.targets)
+        self.solver.settle(self.relaxed.actions)
 
     def _bound(self, mdp: BoundMDP, maximize: bool) -> float:
         """The optimum, padded outwards by the solver's rounding bound."""
@@ -277,13 +201,13 @@ class RegionVerifier:
         their rounding error derived there, so the returned pair still
         brackets the true range.
         """
-        mdp = self._substitute(region)
+        mdp = substitute(self.relaxed, region)
         return self._bound(mdp, False), self._bound(mdp, True)
 
     def verify(self, region: Region) -> Verdict:
         """Classify the box, computing only the bounds the decision needs."""
         self.verifications += 1
-        mdp = self._substitute(region)
+        mdp = substitute(self.relaxed, region)
         threshold = float(self.spec.threshold)
         if self.spec.direction == "<=":
             if self._bound(mdp, True) <= threshold - MARGIN:

@@ -344,21 +344,20 @@ class LeveledSolver:
         #: Relative pad that makes a computed value a sound bound (see above).
         self.pad = 2 * m * 2.0**-53 / (1 - m * 2.0**-53)
 
-    def settle(self, actions, fixed: Iterable[int]) -> None:
+    def settle(self, actions) -> None:
         """Fold the states whose T and E no box and no x can change into the base values.
 
-        ``fixed`` names states whose single action in ``actions`` every later
-        call passes unchanged.  Such a state is *settled* when each of its
-        successors is settled (leaves and targets are) or is the initial
-        state, whose T and E a pass reads as their base values.  Settled
-        states leave the pass order; their T and E come from the same float
-        operations, in the same order, that :meth:`_round` would apply, so
-        every later value is the same float.
+        ``actions[s]`` is ``None`` for a parametric state and otherwise the
+        single action that every later call passes unchanged.  Such a state
+        is *settled* when each of its successors is settled (leaves and
+        targets are) or is the initial state, whose T and E a pass reads as
+        their base values.  Settled states leave the pass order; their T and
+        E come from the same float operations, in the same order, that
+        :meth:`_round` would apply, so every later value is the same float.
         """
-        fixed = set(fixed)
         live = set(self._order)
         for s in self._order:  # successors come first, being one level deeper
-            if s == self.initial or s not in fixed:
+            if s == self.initial or actions[s] is None:
                 continue
             (action,) = actions[s]
             if any(succ in live and succ != self.initial for succ, _ in action):
@@ -450,67 +449,33 @@ class SensitivityFunction:
 def sensitivity_function(
     pmc: PMC, targets: Iterable[int], guard: int = ELIMINATION_GUARD
 ) -> SensitivityFunction:
-    """Closed form of the reachability probability, by symbolic state elimination.
+    """Closed form of the reachability probability, in :class:`LeveledSolver`'s order.
 
-    States are removed leaves-first (all cycles of a compiled chain pass
-    through the initial state, so interior states never carry self-loops); the
-    single division happens at the initial state.  Numerator and denominator
-    are normalized to coprime integer coefficients.
+    One deepest-level-first pass builds, per state, the target mass T and
+    the restart mass R as polynomials; the probability is T/(1 - R) at the
+    initial state.  Numerator and denominator are normalized to coprime
+    integer coefficients.  Raises :class:`NotWellFormed` for a chain that is
+    not leveled.
     """
     if pmc.n_states > guard:
         raise TooLarge(f"{pmc.n_states} states exceed the elimination guard of {guard}")
-    targets = set(targets)
+    targets = frozenset(targets)
     if pmc.initial in targets:
         return SensitivityFunction(ONE, ONE)
-
-    virtual = -1  # merged target
-    adj: dict[int, dict[int, Polynomial]] = {}
-    for s, out in enumerate(pmc.edges):
-        if s in targets:
-            continue
-        if s != pmc.initial and out == ((s, ONE),):
-            adj[s] = {}  # absorbing non-target state: entering mass never reaches a target
-            continue
-        row: dict[int, Polynomial] = {}
-        for t, w in out:
-            key = virtual if t in targets else t
-            row[key] = row.get(key, ZERO) + w
-        adj[s] = row
-
-    by_level = sorted(
-        (s for s in adj if s != pmc.initial),
-        key=lambda s: (-pmc.states[s].level, -s),
-    )
-    predecessors: dict[int, set[int]] = {s: set() for s in list(adj) + [virtual]}
-    for s, row in adj.items():
-        for t in row:
-            if t in predecessors:
-                predecessors[t].add(s)
-
-    for s in by_level:
-        row = adj.pop(s)
-        loop = row.pop(s, ZERO)
-        if not loop.is_zero():
-            raise NotWellFormed(
-                "state elimination needs interior states without self-loops; "
-                "compiled chains always satisfy this"
-            )
-        for p in predecessors[s]:
-            if p not in adj or s not in adj[p]:
-                continue
-            into = adj[p].pop(s)
-            for t, w in row.items():
-                adj[p][t] = adj[p].get(t, ZERO) + into * w
-                if t in predecessors:
-                    predecessors[t].add(p)
-        for t in row:
-            if t in predecessors:
-                predecessors[t].discard(s)
-
-    init_row = adj[pmc.initial]
-    numerator = init_row.get(virtual, ZERO)
-    denominator = ONE - init_row.get(pmc.initial, ZERO)
-    return SensitivityFunction(*_normalize_ratio(numerator, denominator))
+    solver = LeveledSolver(pmc.states, pmc.initial, pmc.edges, targets)
+    # Leaves are in neither map, so their mass counts towards neither.  The
+    # initial state comes last, so its restart edges read R = 1.
+    t_of = dict.fromkeys(targets, ONE)
+    r_of = {pmc.initial: ONE}
+    for s in solver._order:
+        t = r = ZERO
+        for succ, w in pmc.edges[s]:
+            if succ in t_of:
+                t = t + w * t_of[succ]
+            if succ in r_of:
+                r = r + w * r_of[succ]
+        t_of[s], r_of[s] = t, r
+    return SensitivityFunction(*_normalize_ratio(t_of[pmc.initial], ONE - r_of[pmc.initial]))
 
 
 def _normalize_ratio(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:

@@ -8,6 +8,7 @@ produces floats.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,6 +22,10 @@ Monomial = tuple[tuple[str, int], ...]
 
 Rational = Union[int, Fraction]
 
+#: Largest decimal exponent magnitude that :func:`as_fraction` accepts.
+_MAX_EXPONENT = 10_000
+_EXPONENT_RE = re.compile(r"[eE][+-]?([\d_]+)\s*$")
+
 
 def as_fraction(value: int | float | str | Fraction) -> Fraction:
     """Exact rational from a number.
@@ -28,7 +33,9 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
     Floats are converted through their shortest round-tripping decimal form,
     so ``as_fraction(0.3) == Fraction(3, 10)`` — the value the literal meant,
     not the nearest binary double.  Strings accept plain decimals, scientific
-    notation, and ``a/b``.
+    notation, and ``a/b``; a decimal exponent above 10 000 in magnitude
+    raises :class:`ValueError`, since its exact value would take
+    seconds to build.
     """
     if isinstance(value, Fraction):
         return value
@@ -37,6 +44,11 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
+        exponent = _EXPONENT_RE.search(value)
+        if exponent is not None:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+                raise ValueError(f"decimal exponent exceeds {_MAX_EXPONENT} in magnitude")
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -196,16 +208,6 @@ class Polynomial:
                 term = term * (value if exp == 1 else value**exp)
             total = total + term
         return total
-
-    def rename(self, mapping: Mapping[str, str]) -> "Polynomial":
-        """A copy with parameters renamed; names missing from the map are kept."""
-        if not self.parameters & mapping.keys():
-            return self
-        renamed: dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms:
-            new_mono = tuple(sorted((mapping.get(n, n), e) for n, e in mono))
-            renamed[new_mono] = renamed.get(new_mono, Fraction(0)) + coeff
-        return Polynomial._normalize(renamed)
 
     # -- interval bounds ---------------------------------------------------
 

@@ -396,12 +396,14 @@ def test_renormalize_flag(capsys, tmp_path):
     assert payload["satisfied"] is True
 
 
-def test_seed_flag_accepted(capsys, covid_files):
-    net, _ = covid_files
+def test_huge_delta_exponent_is_an_input_error(capsys, covid_files):
+    net, params = covid_files
     code, payload = run_cli(
-        capsys, "infer", net, "--seed", "7", "-c", COVID_CONSTRAINT_TEXT
+        capsys, "verify", net, "-p", params, "--delta", "1e-3000000", "-c", COVID_CONSTRAINT_TEXT
     )
-    assert code == 0
+    assert code == 1
+    assert payload["status"] == "error"
+    assert "exponent" in payload["error"]
 
 
 def test_help_exits_zero(capsys):

@@ -108,6 +108,13 @@ def test_parse_network_error_carries_position():
     assert "line 2" in str(excinfo.value)
 
 
+def test_parse_network_rejects_a_huge_exponent():
+    text = "var A { values: a, b; }\ncpt A { (): 1e-3000000, 1; }"
+    with pytest.raises(ParseError, match="exponent") as excinfo:
+        parse_network(text)
+    assert (excinfo.value.line, excinfo.value.column) == (2, 13)
+
+
 def test_parse_network_rejects_stray_keyword():
     with pytest.raises(ParseError, match="'var' or 'cpt'"):
         parse_network("table A { }")
@@ -138,6 +145,13 @@ def test_parse_param_spec_interval_clause(covid_net):
     """
     pbn = parse_param_spec(text, covid_net)
     assert pbn.interval("p") == (Fraction(1, 2), Fraction(9, 10))
+
+
+def test_parse_param_spec_rejects_a_huge_exponent(covid_net):
+    text = "param p {\n  entry: Antigen(yes, yes): pos;\n  interval: 0.5, 1e-3000000;\n}"
+    with pytest.raises(ParseError, match="exponent") as excinfo:
+        parse_param_spec(text, covid_net)
+    assert (excinfo.value.line, excinfo.value.column) == (3, 18)
 
 
 def test_parse_param_spec_default_interval_uses_delta(covid_net):
@@ -258,6 +272,11 @@ def test_parse_constraint_bad_shape():
 def test_parse_constraint_bad_threshold_number():
     with pytest.raises(ParseError, match="threshold"):
         parse_constraint("P(A=a) <= 0.5.2")
+
+
+def test_parse_constraint_rejects_a_huge_exponent():
+    with pytest.raises(ParseError, match="threshold"):
+        parse_constraint("P(A=a) <= 1e-3000000")
 
 
 def test_parse_constraint_threshold_above_one():

@@ -19,6 +19,7 @@ from bntune import (
 )
 from bntune.bn import Constraint
 from bntune.errors import BadRegion, NotWellFormed, TooLarge, UnboundParameter
+from bntune import lifting
 from bntune.lifting import (
     MARGIN,
     BoundMDP,
@@ -31,6 +32,7 @@ from bntune.lifting import (
 )
 from bntune.pmc import PMC, LeveledSolver, ReachSpec, StateLabel, sensitivity_function
 from bntune.oracle import infer
+from bntune.refine import partition
 from bntune import instantiate, net_from_tables
 from conftest import (
     CP,
@@ -73,19 +75,18 @@ def test_relax_is_identity_for_state_local_parameters(covid_pbn, covid_constrain
     pmc, _ = compile_tailored(covid_pbn, covid_constraint)
     relaxed = relax(pmc)
     assert relaxed.pmc is pmc
-    assert relaxed.origin_map == {"p": "p", "q": "q"}
+    assert sorted(local for _, local in relaxed.parametric) == [("p",), ("q",)]
 
 
 def test_relax_copies_parameters_shared_across_states():
+    # Each state picks its own corner of the shared parameter, so the chain is
+    # kept as it is and both states list ``t`` as their own parameter.
     _, pmc = shared_param_chain()
     relaxed = relax(pmc)
-    assert relaxed.pmc is not pmc
-    copies = [name for name, _ in relaxed.pmc.params]
-    assert len(copies) == 2 and all(name.startswith("t@") for name in copies)
-    assert relaxed.origin_map == {copies[0]: "t", copies[1]: "t"}
-    # The relaxed chain is the original chain with per-state renames only.
-    assert relaxed.pmc.n_states == pmc.n_states
-    assert relaxed.pmc.transition_count == pmc.transition_count
+    assert relaxed.pmc is pmc
+    assert [local for _, local in relaxed.parametric] == [("t",), ("t",)]
+    for s, _ in relaxed.parametric:
+        assert relaxed.actions[s] is None
 
 
 def test_relaxation_bounds_contain_the_shared_parameter_bounds():
@@ -177,19 +178,18 @@ def test_substitute_rejects_weights_leaving_the_unit_interval():
         substitute(relax(pmc), toy_box("2/5", "3/5"))
 
 
-def test_constant_weight_error_comes_from_substitute_not_the_constructor():
-    # s1 is parameter-free, so its weight 3/2 is checked once per relaxed
-    # chain; the check still runs on the first substitution, not earlier.
+def test_constant_weight_error_comes_from_relax_and_the_constructor():
+    # s1 is parameter-free, so its weight 3/2 is checked once per chain, by
+    # relax, before any box is given.
     states = (StateLabel(0, ()), StateLabel(1, (("V", "a"),)), StateLabel(1, (("V", "b"),)),
               StateLabel(2, (("W", "a"),)), StateLabel(2, (("W", "b"),)))
     edges = (((1, X), (2, ONE - X)), ((3, C(Fraction(3, 2))),), ((4, ONE),), ((3, ONE),),
              ((4, ONE),))
     pmc = PMC(states, 0, edges, (("x", (Fraction(1, 5), Fraction(3, 5))),))
-    verifier = RegionVerifier(pmc, ReachSpec(frozenset({3}), "<=", Fraction(1, 2)))
     with pytest.raises(NotWellFormed):
-        substitute(relax(pmc), toy_box("1/5", "3/5"))
+        relax(pmc)
     with pytest.raises(NotWellFormed):
-        verifier.verify(toy_box("1/5", "3/5"))
+        RegionVerifier(pmc, ReachSpec(frozenset({3}), "<=", Fraction(1, 2)))
 
 
 def test_substitute_guards_state_local_parameter_blowup():
@@ -209,7 +209,7 @@ def test_substitute_guards_state_local_parameter_blowup():
     params = tuple((name, (Fraction(1, 100), Fraction(2, 100))) for name in names)
     pmc = PMC(states, 0, edges, params)
     with pytest.raises(TooLarge):
-        substitute(relax(pmc), Region.from_bounds(dict(params)))
+        relax(pmc)
 
 
 def test_extremal_reach_on_the_toy_chain(toy_pbn):
@@ -240,6 +240,8 @@ def test_non_leveled_chain_is_rejected():
     mdp = substitute(relax(pmc), Region((), ()))
     with pytest.raises(NotWellFormed):
         extremal_reach(mdp, {3}, "max")
+    with pytest.raises(NotWellFormed):
+        sensitivity_function(pmc, {3})
 
 
 def restart_corner_chain():
@@ -299,7 +301,7 @@ def chain30():
 
 def restart_heavy_net():
     """A seeded random net whose tailored chain has 25 restart edges and
-    parameters shared between states (so relaxation makes copies)."""
+    parameters shared between states (each state relaxes its own copy)."""
     rng = random.Random(330)
     net = random_net(rng, max_nodes=6)
     pbn = random_parametrization(rng, net)
@@ -318,19 +320,17 @@ def random_box(rng: random.Random, pbn) -> Region:
 
 def reference_bounds(pmc: PMC, targets, region: Region) -> tuple[float, float]:
     """Bounds from scratch: every weight at every corner in Fractions, then float()."""
-    relaxed = relax(pmc)
-    chain, origin = relaxed.pmc, relaxed.origin_map
     actions = []
-    for out in chain.edges:
+    for out in pmc.edges:
         local = sorted({name for _, w in out for name in w.parameters})
-        axes = [sorted(set(region.interval(origin[name]))) for name in local]
+        axes = [sorted(set(region.interval(name))) for name in local]
         distributions = {}
         for corner in itertools.product(*axes):
             point = dict(zip(local, corner))
             distributions[tuple((t, float(w.evaluate(point))) for t, w in out)] = None
         actions.append(tuple(distributions))
-    mdp = BoundMDP(chain.states, chain.initial, tuple(actions))
-    pad = LeveledSolver(chain.states, chain.initial, chain.edges, targets).pad
+    mdp = BoundMDP(pmc.states, pmc.initial, tuple(actions))
+    pad = LeveledSolver(pmc.states, pmc.initial, pmc.edges, targets).pad
     lo = max(extremal_reach(mdp, targets, "min") * (1 - pad), 0.0)
     hi = min(extremal_reach(mdp, targets, "max") * (1 + pad), 1.0)
     return lo, hi
@@ -353,8 +353,8 @@ def reference_verdict(spec: ReachSpec, lo: float, hi: float) -> Verdict:
     ids=["covid", "chain30", "restart-heavy"],
 )
 def test_long_lived_verifier_matches_a_from_scratch_reference(build):
-    # One verifier serves every box, so its substitution plan and its settled
-    # states are reused; each box must still give exactly the bounds and the
+    # One verifier serves every box, so its relaxation and its settled states
+    # are reused; each box must still give exactly the bounds and the
     # verdict of a reference that shares nothing with it.
     pbn, constraint = build()
     pmc, spec = compile_tailored(pbn, constraint)
@@ -369,6 +369,30 @@ def test_long_lived_verifier_matches_a_from_scratch_reference(build):
         assert verdict is reference_verdict(spec, lo, hi)
         verdicts.add(verdict)
     assert len(verdicts) >= 2
+
+
+def test_verifier_reaches_relax_and_substitute_through_the_module(
+    monkeypatch, covid_pbn, covid_constraint
+):
+    # The benchmark times these two layers by rebinding lifting's module
+    # attributes, so a partition must call them through the module.
+    calls = {"relax": 0, "substitute": 0}
+
+    def counting(name):
+        original = getattr(lifting, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(lifting, name, counting(name))
+    pmc, spec = compile_tailored(covid_pbn, covid_constraint)
+    result = partition(pmc, spec, covid_pbn.space(), Fraction(9, 10))
+    assert result.verifications > 1
+    assert calls == {"relax": 1, "substitute": result.verifications}
 
 
 def verdict_of(toy_pbn, direction, threshold, box=("1/5", "3/5")):

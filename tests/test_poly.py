@@ -107,13 +107,6 @@ def test_parameters_and_constant_value():
     assert Polynomial.constant(Fraction(3, 7)).constant_value() == Fraction(3, 7)
 
 
-def test_rename():
-    f = X1 * X2 + X1
-    g = f.rename({"x1": "p", "x2": "q"})
-    p, q = Polynomial.parameter("p"), Polynomial.parameter("q")
-    assert g == p * q + p
-
-
 def test_str_rendering():
     c = Polynomial.constant
     f = c(34900) * Polynomial.parameter("p") * Polynomial.parameter("q")
@@ -221,6 +214,15 @@ def test_as_fraction_decimal_strings_and_floats():
     assert as_fraction("3/7") == Fraction(3, 7)
     assert as_fraction(Fraction(2, 5)) == Fraction(2, 5)
     assert as_fraction(1) == 1
+
+
+def test_as_fraction_bounds_the_decimal_exponent():
+    assert as_fraction("1e10000") == 10**10000
+    assert as_fraction("1e-10000") == Fraction(1, 10**10000)
+    assert as_fraction("2.5E+0_0010") == 25 * 10**9
+    for text in ("1e-3000000", "1E10001", "1e-1_0001", " 5e99999999999999999999 "):
+        with pytest.raises(ValueError, match="exponent"):
+            as_fraction(text)
 
 
 def test_binary_fraction_keeps_float_bits():
