@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 

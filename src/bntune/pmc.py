@@ -5,7 +5,9 @@ variable's value is carried in the state only while a later table still needs
 it (don't-care abstraction).  For conditional queries the chain can be
 tailored to the evidence: transitions that would violate an evidence literal
 restart at the initial state, which turns the conditional into plain
-reachability of the hypothesis-satisfying leaves.
+reachability of the hypothesis-satisfying leaves.  A tailored chain expands
+only the hypothesis and evidence variables and their ancestors: every other
+variable is *barren*, sums out to one and cannot change the conditional.
 """
 
 from __future__ import annotations
@@ -123,7 +125,11 @@ def _retained_sets(order: Sequence[str], variable_map, forget: bool) -> list[tup
 
 
 class _Builder:
-    """Shared machinery for plain and evidence-tailored compilation."""
+    """Shared machinery for plain and evidence-tailored compilation.
+
+    The order is validated over every variable; a tailored build then keeps
+    only the ancestral set of the hypothesis and evidence variables.
+    """
 
     def __init__(self, net, order, constraint: Constraint | None, forget: bool):
         self.variables, self.cpt_map, self.variable_map, self.params = _net_parts(net)
@@ -131,6 +137,14 @@ class _Builder:
         self.constraint = constraint
         self.evidence = dict(constraint.evidence) if constraint else {}
         self.hypothesis = dict(constraint.hypothesis) if constraint else {}
+        if constraint is not None:
+            # Children come after their parents, so one backward sweep
+            # collects every ancestor of the hypothesis and evidence.
+            relevant = {*self.hypothesis, *self.evidence}
+            for name in reversed(self.order):
+                if name in relevant:
+                    relevant.update(self.variable_map[name].parents)
+            self.order = tuple(v for v in self.order if v in relevant)
         self.retained = _retained_sets(self.order, self.variable_map, forget)
         self.states: list[StateLabel] = []
         self.index: dict[StateLabel, int] = {}
@@ -213,6 +227,10 @@ def compile_tailored(
 ) -> tuple[PMC, ReachSpec]:
     """Compile the evidence-tailored chain and its reachability constraint.
 
+    Only the hypothesis and evidence variables and their ancestors are
+    expanded; any other variable is barren and leaves the conditional
+    unchanged.  ``order`` must still list every variable.  The chain keeps
+    every declared parameter in ``params``, even one that no edge carries.
     Transitions into states that would violate an evidence literal restart at
     the initial state, so the probability of reaching the hypothesis-true
     leaves equals the conditional probability of the hypothesis given the
@@ -223,11 +241,12 @@ def compile_tailored(
     :class:`EvidenceImpossible` is raised.
     """
     constraint.check_against(net)
-    chain = _Builder(net, order, constraint, forget).build()
-    # The leaf level is the number of variables, not the deepest surviving
-    # state: when every branch restarts, the chain collapses to the initial
-    # state alone and the evidence is impossible.
-    n_levels = len(net.variables)
+    builder = _Builder(net, order, constraint, forget)
+    chain = builder.build()
+    # The leaf level is the number of expanded variables, not the deepest
+    # surviving state: when every branch restarts, the chain collapses to the
+    # initial state alone and the evidence is impossible.
+    n_levels = len(builder.order)
     targets = frozenset(
         i for i, s in enumerate(chain.states) if s.level == n_levels and s.hypothesis
     )

@@ -1,9 +1,11 @@
 """Partitioning a parameter box into accepting, rejecting, and unknown parts.
 
 A work queue of boxes is verified in breadth-first order; inconclusive boxes
-are bisected along their widest axis until the conclusively classified volume
-reaches the coverage factor, i.e. the requested share of the input box.  All
-bookkeeping uses exact rational volumes, so the reported coverage is exact.
+are bisected along their widest *live* axis until the conclusively classified
+volume reaches the coverage factor, i.e. the requested share of the input
+box.  An axis is live when its parameter labels some edge of the chain; the
+others cannot change any verdict, so they stay whole.  All bookkeeping uses
+exact rational volumes, so the reported coverage is exact.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ def partition(
         raise ValueError(f"eta must be within [0, 1], got {eta}")
     axes = [i for i, (lb, ub) in enumerate(region.intervals) if ub > lb]
     input_widths = {i: region.intervals[i][1] - region.intervals[i][0] for i in axes}
+    on_edges = {p for out in pmc.edges for _, w in out for p in w.parameters}
+    live_axes = [i for i in axes if region.params[i] in on_edges]
 
     def measure(box: Region) -> Fraction:
         vol = Fraction(1)
@@ -77,7 +81,7 @@ def partition(
 
     def widest_axis(box: Region) -> int | None:
         best, best_width = None, Fraction(0)
-        for i in axes:
+        for i in live_axes:
             lb, ub = box.intervals[i]
             width = (ub - lb) / input_widths[i]
             if width > best_width:

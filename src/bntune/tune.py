@@ -16,6 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import refine
 from .bn import DEFAULT_DELTA, Constraint, Instantiation, ParamBN
 from .errors import CoverageUnreachable, EmptyInput, NotWellFormed, UnsupportedForCD
 from .pmc import compile_tailored, reach_prob
@@ -287,6 +288,9 @@ def tune(
 
     gamma = float(hyper.gamma)
     schedule = [d0 * gamma ** (hyper.max_iters - i) for i in range(1, hyper.max_iters + 1)]
+    # Through the module attribute, so that a substituted verifier class
+    # (the benchmark's traced one) is the one built.
+    verifier = refine.RegionVerifier(chain, spec)
     stats: list[IterationStats] = []
     last_region: Region | None = None
     last_result: PartitionResult | None = None
@@ -299,6 +303,7 @@ def tune(
                 region,
                 hyper.eta,
                 guard=hyper.guard,
+                verifier=verifier,
                 until_accepting=True,
             )
         except CoverageUnreachable as exc:

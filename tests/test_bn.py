@@ -26,7 +26,7 @@ from bntune.errors import (
     UnsupportedMultiEntryRow,
     ZeroEntry,
 )
-from conftest import CP, CQ, build_covid_net, build_covid_pbn
+from conftest import CP, CQ
 
 P = Polynomial.parameter("p")
 X = Polynomial.parameter("x")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bntune.bn import Constraint, parametrize
+from bntune.bn import parametrize
 from bntune.errors import (
     NotWellFormed,
     ParseError,
@@ -20,7 +20,6 @@ from bntune.formats import (
     parse_network,
     parse_param_spec,
 )
-from bntune.poly import as_fraction
 
 from conftest import COVID_NET_TEXT, COVID_PARAMS_TEXT, CP, CQ
 

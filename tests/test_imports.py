@@ -1,0 +1,69 @@
+"""Every module of the package uses each name it imports.
+
+A stdlib-only stand-in for a linter's unused-import check.  A name counts
+as used when it is read anywhere in the module, annotations included (also
+inside a quoted annotation), or listed in ``__all__``.  ``from __future__``
+imports are exempt, and so are the re-exports of the package's
+``__init__.py``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bntune"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotations(node: ast.AST) -> list[ast.AST]:
+    if isinstance(node, (ast.AnnAssign, ast.arg)) and node.annotation is not None:
+        return [node.annotation]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+        return [node.returns]
+    return []
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+        for annotation in _annotations(node):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    quoted = ast.parse(part.value, mode="eval")
+                    used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_are_all_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_check_finds_an_unused_import():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import os",
+        "from typing import Mapping, Sequence",
+        "from x import y, z",
+        "__all__ = ['y']",
+        "def f(a: 'Sequence[int]') -> None:",
+        "    'Mapping is only mentioned here.'",
+        "    return os.sep",
+    ])
+    assert unused_imports(source) == ["Mapping (line 3)", "z (line 4)"]

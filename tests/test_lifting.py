@@ -35,8 +35,6 @@ from bntune.oracle import infer
 from bntune.refine import partition
 from bntune import instantiate, net_from_tables
 from conftest import (
-    CP,
-    CQ,
     build_covid_constraint,
     build_covid_net,
     build_covid_pbn,

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bntune import Constraint, instantiate, net_from_tables, parametrize
+from bntune import Constraint, net_from_tables, parametrize
 from bntune.errors import EvidenceImpossible, TooLarge, UnsupportedForCD
 from bntune.oracle import cd_exact, grid_min_distance, infer, joint_table
 from conftest import covid_posterior

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from bntune import refine
 from bntune.bn import Constraint, parametrize
 from bntune.errors import EmptyInput, UnsupportedForCD
 from bntune.oracle import cd_exact, infer
@@ -24,7 +25,7 @@ from bntune.tune import (
     tune,
 )
 
-from conftest import build_covid_net, covid_posterior
+from conftest import covid_posterior
 
 
 # ---------------------------------------------------------------------------
@@ -430,3 +431,18 @@ def test_tune_iteration_stats_shape(covid_pbn, covid_constraint):
     assert float(last.coverage) >= 0.99
     assert float(last.epsilon) > 0
     assert last.region.contains(covid_pbn.origin_instantiation())
+
+
+def test_tune_builds_one_verifier_per_run(covid_pbn, covid_constraint, monkeypatch):
+    built = []
+
+    class CountingVerifier(refine.RegionVerifier):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(refine, "RegionVerifier", CountingVerifier)
+    result = tune(covid_pbn, covid_constraint)
+    assert len(result.iterations) == 4
+    assert sum(it.verifications for it in result.iterations) > len(result.iterations)
+    assert len(built) == 1
