@@ -250,7 +250,6 @@ def _cmd_tune(args) -> tuple[dict, int]:
         eta=as_fraction(args.eta),
         gamma=as_fraction(args.gamma),
         max_iters=args.max_iters,
-        delta=as_fraction(args.delta),
     )
     result = tune(pbn, constraint, measure=args.distance, hyper=hyper, order=_order(args))
     return _tune_payload(result), _EXIT_BY_STATUS[result.status]
@@ -278,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--delta",
         default="1e-6",
-        help="distance kept from the probabilities 0 and 1 (default 1e-6)",
+        help="default interval [delta, 1 - delta] of any parameter without an "
+        "'interval:' clause (default 1e-6)",
     )
     common.add_argument("-o", "--output", help="write the JSON result to this file")
 

@@ -12,8 +12,6 @@ import itertools
 import math
 from typing import Sequence
 
-import numpy as np
-
 from .bn import BayesNet, Constraint, ParamBN, instantiate
 from .errors import EvidenceImpossible, TooLarge, UnsupportedForCD
 
@@ -157,6 +155,8 @@ def grid_min_distance(
     of least distance from the recorded original values, or ``(None, inf)``
     when no grid point satisfies the constraint.
     """
+    import numpy as np  # here only, so that importing bntune does not load numpy
+
     names = pbn.parameter_names
     if len(names) > 3:
         raise TooLarge(f"{len(names)} parameters exceed the grid search guard of 3")

@@ -103,18 +103,14 @@ def _net_parts(net: BayesNet | ParamBN):
     return net.variables, net.cpt_map, net.variable_map, tuple(params)
 
 
-def _retained_sets(order: Sequence[str], variable_map, forget: bool) -> list[tuple[str, ...]]:
+def _retained_sets(order: Sequence[str], variable_map) -> list[tuple[str, ...]]:
     """Per level, which already-expanded variables the state still labels.
 
     The just-expanded variable is always labeled at its own level; an earlier
     variable is kept only while a later variable's table lists it as a parent.
     """
-    n = len(order)
     retained: list[tuple[str, ...]] = [()]
-    for level in range(1, n + 1):
-        if not forget:
-            retained.append(tuple(order[:level]))
-            continue
+    for level in range(1, len(order) + 1):
         needed_later = set()
         for later in order[level:]:
             needed_later.update(variable_map[later].parents)
@@ -131,7 +127,7 @@ class _Builder:
     only the ancestral set of the hypothesis and evidence variables.
     """
 
-    def __init__(self, net, order, constraint: Constraint | None, forget: bool):
+    def __init__(self, net, order, constraint: Constraint | None):
         self.variables, self.cpt_map, self.variable_map, self.params = _net_parts(net)
         self.order = topological_order(net, order)
         self.constraint = constraint
@@ -145,7 +141,9 @@ class _Builder:
                 if name in relevant:
                     relevant.update(self.variable_map[name].parents)
             self.order = tuple(v for v in self.order if v in relevant)
-        self.retained = _retained_sets(self.order, self.variable_map, forget)
+        self.retained = _retained_sets(self.order, self.variable_map)
+        origin = getattr(net, "origin", None)
+        self.point = None if origin is None else {k: float(v) for k, v in origin}
         self.states: list[StateLabel] = []
         self.index: dict[StateLabel, int] = {}
         self.edges: list[dict[int, Polynomial]] = []
@@ -161,10 +159,21 @@ class _Builder:
         out = self.edges[source]
         out[target] = out.get(target, ZERO) + weight
 
-    def build(self) -> PMC:
+    def build(self) -> tuple[PMC, list[int]]:
+        """The chain and its leaves, the states of the last level.
+
+        A tailored build raises :class:`EvidenceImpossible` when no leaf is
+        reachable along edges that are positive at the recorded original
+        values (any built edge, when there are none): every path restarts.
+        """
         tailored = self.constraint is not None
         initial = self.intern(StateLabel(0, (), True if tailored else None))
         frontier = [initial]
+        # Forward edges never merge, as the just-expanded variable stays in
+        # the label, so each entry is tested on its own.  The test is
+        # memoized by id: hashing a Polynomial costs more than it saves.
+        reached = {initial}
+        positive: dict[int, bool] = {}
         for level, var_name in enumerate(self.order):
             variable = self.variable_map[var_name]
             table = self.cpt_map[var_name]
@@ -178,6 +187,7 @@ class _Builder:
                 parent_values = tuple(label.value_of(p) for p in variable.parents)
                 row = table.row(parent_values)
                 values = dict(label.assignment)
+                live = tailored and source in reached
                 for value_label, entry in zip(variable.values, row):
                     if entry.is_zero():
                         continue
@@ -194,36 +204,37 @@ class _Builder:
                     if target not in seen:
                         seen.add(target)
                         next_frontier.append(target)
+                    if live and target not in reached:
+                        key = id(entry)
+                        if key not in positive:
+                            positive[key] = (
+                                self.point is None or entry.evaluate_numeric(self.point) > 0.0
+                            )
+                        if positive[key]:
+                            reached.add(target)
             frontier = next_frontier
+        if tailored and reached.isdisjoint(frontier):
+            raise EvidenceImpossible("the evidence has probability zero; every path restarts")
         for leaf in frontier:
             self.add_edge(leaf, leaf, ONE)
         packed = tuple(tuple(sorted(out.items())) for out in self.edges)
-        return PMC(tuple(self.states), initial, packed, self.params)
+        return PMC(tuple(self.states), initial, packed, self.params), frontier
 
 
-def compile_chain(
-    net: BayesNet | ParamBN,
-    order: Sequence[str] | None = None,
-    *,
-    forget: bool = True,
-) -> PMC:
+def compile_chain(net: BayesNet | ParamBN, order: Sequence[str] | None = None) -> PMC:
     """Compile a network into its level-structured chain.
 
     ``order`` must be a topological order of the variables (default: the
-    declaration order, repaired to a topological one).  ``forget=False``
-    disables the don't-care abstraction, labeling states with every expanded
-    variable; reachability probabilities are the same either way.
+    declaration order, repaired to a topological one).  A state labels an
+    expanded variable only while a later table still needs its value.
     """
-    return _Builder(net, order, None, forget).build()
+    return _Builder(net, order, None).build()[0]
 
 
 def compile_tailored(
     net: BayesNet | ParamBN,
     constraint: Constraint,
     order: Sequence[str] | None = None,
-    u0: Instantiation | None = None,
-    *,
-    forget: bool = True,
 ) -> tuple[PMC, ReachSpec]:
     """Compile the evidence-tailored chain and its reachability constraint.
 
@@ -236,49 +247,16 @@ def compile_tailored(
     leaves equals the conditional probability of the hypothesis given the
     evidence, at every instantiation that keeps the chain's topology.
 
-    The evidence must have positive probability at ``u0`` (default: the
-    network's recorded original values, when present); otherwise
-    :class:`EvidenceImpossible` is raised.
+    The evidence must have positive probability at the network's recorded
+    original values, when it has them, and otherwise along some path of
+    nonzero entries; else :class:`EvidenceImpossible` is raised.
     """
     constraint.check_against(net)
-    builder = _Builder(net, order, constraint, forget)
-    chain = builder.build()
-    # The leaf level is the number of expanded variables, not the deepest
-    # surviving state: when every branch restarts, the chain collapses to the
-    # initial state alone and the evidence is impossible.
-    n_levels = len(builder.order)
-    targets = frozenset(
-        i for i, s in enumerate(chain.states) if s.level == n_levels and s.hypothesis
-    )
-    if u0 is None and isinstance(net, ParamBN) and net.origin is not None:
-        u0 = net.origin_instantiation()
-    _check_evidence_reachable(chain, u0, n_levels)
+    chain, leaves = _Builder(net, order, constraint).build()
+    targets = frozenset(s for s in leaves if chain.states[s].hypothesis)
     if not targets:
         raise NotWellFormed("no leaf satisfies the hypothesis; its probability is identically 0")
     return chain, ReachSpec(targets, constraint.direction, as_fraction(constraint.threshold))
-
-
-def _check_evidence_reachable(chain: PMC, u0: Instantiation | None, n_levels: int) -> None:
-    """The evidence is possible iff some absorbing leaf is reachable via positive edges."""
-
-    point = None if u0 is None else {k: float(v) for k, v in u0.items()}
-
-    def positive(weight: Polynomial) -> bool:
-        if point is None:
-            return not weight.is_zero()
-        return weight.evaluate_numeric(point) > 0.0
-
-    stack = [chain.initial]
-    visited = {chain.initial}
-    while stack:
-        state = stack.pop()
-        if chain.states[state].level == n_levels:
-            return
-        for target, weight in chain.edges[state]:
-            if target not in visited and positive(weight):
-                visited.add(target)
-                stack.append(target)
-    raise EvidenceImpossible("the evidence has probability zero; every path restarts")
 
 
 class LeveledSolver:

@@ -72,13 +72,6 @@ def partition(
     on_edges = {p for out in pmc.edges for _, w in out for p in w.parameters}
     live_axes = [i for i in axes if region.params[i] in on_edges]
 
-    def measure(box: Region) -> Fraction:
-        vol = Fraction(1)
-        for i in axes:
-            lb, ub = box.intervals[i]
-            vol *= ub - lb
-        return vol
-
     def widest_axis(box: Region) -> int | None:
         best, best_width = None, Fraction(0)
         for i in live_axes:
@@ -88,7 +81,7 @@ def partition(
                 best, best_width = i, width
         return best
 
-    total = measure(region)
+    total = region.volume()
     threshold = eta * total
     accepting: list[Region] = []
     rejecting: list[Region] = []
@@ -123,10 +116,10 @@ def partition(
         verifications += 1
         if verdict is Verdict.ACCEPTING:
             accepting.append(box)
-            covered += measure(box)
+            covered += box.volume()
         elif verdict is Verdict.REJECTING:
             rejecting.append(box)
-            covered += measure(box)
+            covered += box.volume()
         searching = until_accepting and not accepting and covered < total
         done = covered >= threshold and not searching
         if verdict is Verdict.INCONCLUSIVE:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import refine
-from .bn import DEFAULT_DELTA, Constraint, Instantiation, ParamBN
+from .bn import Constraint, Instantiation, ParamBN
 from .errors import CoverageUnreachable, EmptyInput, NotWellFormed, UnsupportedForCD
 from .pmc import compile_tailored, reach_prob
 from .poly import Region, _binary_fraction
@@ -43,15 +43,14 @@ class Hyper:
     ``eta`` is the coverage factor each partitioning must reach (the share of
     a candidate box that must be conclusively classified); ``gamma`` the
     geometric growth factor of the candidate box sizes (the schedule runs
-    from ``d0 * gamma**(max_iters-1)`` up to ``d0``); ``delta`` keeps
-    instantiations away from 0 and 1; ``guard`` caps the number of box
-    verifications each partitioning may spend.
+    from ``d0 * gamma**(max_iters-1)`` up to ``d0``); ``guard`` caps the
+    number of box verifications each partitioning may spend.  Candidate
+    boxes are clamped to each parameter's declared interval only.
     """
 
     eta: Fraction = Fraction(99, 100)
     gamma: Fraction = Fraction(1, 2)
     max_iters: int = 6
-    delta: Fraction = DEFAULT_DELTA
     guard: int = BOX_GUARD
 
     def __post_init__(self):
@@ -167,38 +166,28 @@ def d0_upper(pbn: ParamBN, measure: str = "ec") -> float:
 
 
 def _boxed_axis(
-    u0: Fraction,
-    lo: Fraction,
-    hi: Fraction,
-    declared: tuple[Fraction, Fraction],
-    delta: Fraction,
+    u0: Fraction, lo: Fraction, hi: Fraction, declared: tuple[Fraction, Fraction]
 ) -> tuple[Fraction, Fraction]:
-    """Clamp a candidate interval to the declared one and away from 0/1,
-    never excluding the original value itself."""
+    """Clamp a candidate interval to the declared one, never excluding the
+    original value itself."""
     dlb, dub = declared
-    lb = min(max(lo, delta, dlb), u0)
-    ub = max(min(hi, 1 - delta, dub), u0)
-    return lb, ub
+    return min(max(lo, dlb), u0), max(min(hi, dub), u0)
 
 
-def expand_region_ec(
-    pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float, delta: Fraction = DEFAULT_DELTA
-) -> Region:
-    """The largest axis-aligned box around ``u0`` with Euclidean radius ``epsilon``."""
+def expand_region_ec(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -> Region:
+    """The largest axis-aligned box around ``u0`` with Euclidean radius ``epsilon``,
+    clamped to the declared intervals."""
     halfwidth = _binary_fraction(epsilon / math.sqrt(max(len(pbn.params), 1)))
     intervals = []
     for name, declared in pbn.params:
         center = Fraction(u0[name])
-        intervals.append(
-            _boxed_axis(center, center - halfwidth, center + halfwidth, declared, delta)
-        )
+        intervals.append(_boxed_axis(center, center - halfwidth, center + halfwidth, declared))
     return Region(pbn.parameter_names, tuple(intervals))
 
 
-def expand_region_cd(
-    pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float, delta: Fraction = DEFAULT_DELTA
-) -> Region:
-    """The box around ``u0`` within log-ratio distance ``epsilon``.
+def expand_region_cd(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -> Region:
+    """The box around ``u0`` within log-ratio distance ``epsilon``, clamped to
+    the declared intervals.
 
     With ``a = exp(epsilon/2)``, keeping both ``x/x0`` and ``(1-x)/(1-x0)``
     inside ``[1/a, a]`` keeps every entry ratio of the tuned table inside
@@ -213,7 +202,7 @@ def expand_region_cd(
         c = float(center)
         lo = _binary_fraction(max(c / alpha, 1.0 - (1.0 - c) * alpha))
         hi = _binary_fraction(min(c * alpha, 1.0 - (1.0 - c) / alpha))
-        intervals.append(_boxed_axis(center, lo, hi, declared, delta))
+        intervals.append(_boxed_axis(center, lo, hi, declared))
     return Region(pbn.parameter_names, tuple(intervals))
 
 
@@ -281,7 +270,7 @@ def tune(
     expander = _expander(measure)
     d0 = d0_upper(pbn, measure)
     u0 = pbn.origin_instantiation()
-    chain, spec = compile_tailored(pbn, constraint, order=order, u0=u0)
+    chain, spec = compile_tailored(pbn, constraint, order=order)
     p0 = reach_prob(chain, u0, spec.targets)
     if spec.satisfied_by(p0):
         return TuneResult(Status.SATISFIED, dict(u0), 0.0, measure, p0, None, d0, ())
@@ -295,7 +284,7 @@ def tune(
     last_region: Region | None = None
     last_result: PartitionResult | None = None
     for epsilon in schedule:
-        region = expander(pbn, u0, epsilon, hyper.delta)
+        region = expander(pbn, u0, epsilon)
         try:
             result = partition(
                 chain,

@@ -1,21 +1,28 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package and of its tests uses each name it imports.
 
 A stdlib-only stand-in for a linter's unused-import check.  A name counts
 as used when it is read anywhere in the module, annotations included (also
 inside a quoted annotation), or listed in ``__all__``.  ``from __future__``
 imports are exempt, and so are the re-exports of the package's
-``__init__.py``.
+``__init__.py``.  Importing the package must not load numpy, which only
+``oracle.grid_min_distance`` needs.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bntune"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "bntune"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
+    TESTS.glob("*.py")
+)
 
 
 def _annotations(node: ast.AST) -> list[ast.AST]:
@@ -67,3 +74,16 @@ def test_the_check_finds_an_unused_import():
         "    return os.sep",
     ])
     assert unused_imports(source) == ["Mapping (line 3)", "z (line 4)"]
+
+
+def test_importing_the_package_does_not_load_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, bntune; print('numpy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert loaded.strip() == "False"

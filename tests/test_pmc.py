@@ -8,9 +8,12 @@ from fractions import Fraction
 import pytest
 
 from bntune import (
+    CPT,
     ONE,
     Constraint,
+    ParamBN,
     Polynomial,
+    Variable,
     compile_chain,
     compile_tailored,
     conditional_via_ratio,
@@ -183,15 +186,6 @@ def test_alternate_topological_order_preserves_the_conditional(
     assert got == pytest.approx(covid_posterior(0.72, 0.95), abs=1e-12)
 
 
-def test_forgetting_is_semantics_preserving(covid_pbn, covid_constraint):
-    full, spec = compile_tailored(covid_pbn, covid_constraint, forget=False)
-    lean, _ = compile_tailored(covid_pbn, covid_constraint)
-    assert full.n_states > lean.n_states
-    u0 = covid_pbn.origin_instantiation()
-    got = reach_prob(full, u0, spec.targets)
-    assert got == pytest.approx(covid_posterior(0.72, 0.95), abs=1e-12)
-
-
 def test_non_topological_order_rejected(covid_pbn):
     with pytest.raises(BadOrder):
         compile_chain(covid_pbn, order=("Symptoms", "COVID-19", "Antigen", "PCR"))
@@ -207,6 +201,39 @@ def test_impossible_evidence_rejected():
     constraint = Constraint((("B", "a"),), (("A", "b"),), "<=", Fraction(1, 2))
     with pytest.raises(EvidenceImpossible):
         compile_tailored(pbn, constraint)
+
+
+def evidence_row_net(origin: Fraction) -> ParamBN:
+    """A -> B, where B's rows are (2x - 1, 2 - 2x) under a and (x - 1/2, 3/2 - x) under b.
+
+    No entry is identically zero, but the evidence B = y has probability zero
+    exactly at x = 1/2.
+    """
+    x, c = Polynomial.parameter("x"), Polynomial.constant
+    variables = (Variable("A", ("a", "b")), Variable("B", ("y", "n"), ("A",)))
+    cpts = (
+        CPT("A", (((), (c(Fraction(2, 5)), c(Fraction(3, 5)))),)),
+        CPT("B", (
+            (("a",), (c(2) * x - c(1), c(2) - c(2) * x)),
+            (("b",), (x - c(Fraction(1, 2)), c(Fraction(3, 2)) - x)),
+        )),
+    )
+    return ParamBN(variables, cpts, (("x", (Fraction(1, 2), Fraction(9, 10))),),
+                   origin=(("x", origin),))
+
+
+def test_evidence_impossible_at_the_origin_is_rejected():
+    constraint = Constraint((("A", "a"),), (("B", "y"),), "<=", Fraction(1, 2))
+    with pytest.raises(EvidenceImpossible):
+        compile_tailored(evidence_row_net(Fraction(1, 2)), constraint)
+    pbn = evidence_row_net(Fraction(3, 4))
+    chain, spec = compile_tailored(pbn, constraint)
+    u0 = pbn.origin_instantiation()
+    got = reach_prob(chain, u0, spec.targets)
+    # 0.4 * 1/2 / (0.4 * 1/2 + 0.6 * 1/4)
+    assert got == pytest.approx(4 / 7, abs=1e-15)
+    expected = infer(instantiate(pbn, u0), constraint.hypothesis, constraint.evidence)
+    assert got == pytest.approx(expected, abs=1e-15)
 
 
 def test_structurally_unreachable_hypothesis_rejected():

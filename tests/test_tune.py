@@ -10,6 +10,7 @@ import pytest
 from bntune import refine
 from bntune.bn import Constraint, parametrize
 from bntune.errors import EmptyInput, UnsupportedForCD
+from bntune.formats import parse_param_spec
 from bntune.oracle import cd_exact, infer
 from bntune.bn import instantiate
 from bntune.poly import Region, as_fraction
@@ -378,6 +379,23 @@ def test_tune_infeasible(covid_pbn):
     assert len(result.iterations) == 6
     assert [it.verifications for it in result.iterations] == [1] * 6
     assert all(it.accepting == 0 for it in result.iterations)
+
+
+def test_tune_infeasible_with_a_wide_declared_interval(covid_net):
+    # p may come closer to 0 and 1 than the default interval [1e-6, 1 - 1e-6]
+    # allows; the last candidate box must still be the whole declared box.
+    params = """
+        param p { entry: Antigen(yes, yes): pos; interval: 1e-9, 0.999999999; }
+        param q { entry: PCR(yes): pos; }
+    """
+    pbn = parse_param_spec(params, covid_net)
+    assert pbn.interval("p") == (Fraction(1, 10**9), 1 - Fraction(1, 10**9))
+    constraint = Constraint(
+        (("COVID-19", "no"),), (("Antigen", "pos"), ("PCR", "pos")), "<=", Fraction(0)
+    )
+    result = tune(pbn, constraint)
+    assert result.status is Status.INFEASIBLE
+    assert result.iterations[-1].region == pbn.space()
 
 
 def test_tune_unknown_when_coverage_unreachable(toy_pbn):
