@@ -178,15 +178,15 @@ class ParamBN:
     """A Bayesian network whose table entries are multi-affine polynomials.
 
     ``params`` fixes the parameter order and the closed interval each
-    parameter may range over; ``modif`` records which entry coordinates were
-    explicitly turned into parameters; ``origin`` (when known) maps each
-    parameter to the constant value it replaced.
+    parameter may range over; ``origin`` (when known) maps each parameter to
+    the constant value it replaced, which may lie outside its interval.
+    Every row must sum to one: symbolically when it holds a parameter, and
+    within ``ROW_SUM_TOLERANCE`` when it is constant.
     """
 
     variables: tuple[Variable, ...]
     cpts: tuple[CPT, ...]
     params: tuple[tuple[str, tuple[Fraction, Fraction]], ...]
-    modif: frozenset[EntryCoord] = frozenset()
     origin: tuple[tuple[str, Fraction], ...] | None = None
 
     def __post_init__(self):
@@ -281,7 +281,7 @@ class RowDiagnostic:
 
     owner: str
     parent_values: tuple[str, ...]
-    kind: str  # "entry-range" or "row-sum"
+    kind: str  # "entry-range": the only finding; row sums are checked at construction
     message: str
 
 
@@ -418,7 +418,6 @@ def parametrize(
         variables=bn.variables,
         cpts=tuple(new_cpts),
         params=tuple(param_intervals),
-        modif=frozenset(modif),
         origin=tuple((n, origin[n]) for n in param_order),
     )
 
@@ -456,15 +455,16 @@ def instantiate(pbn: ParamBN, u: Instantiation) -> BayesNet:
 
 
 def validate(pbn: ParamBN, region: Region) -> list[RowDiagnostic]:
-    """Check that every row stays a distribution over ``region``.
+    """Check that every table entry stays within [0, 1] over ``region``.
 
-    Returns one diagnostic per violation; an empty list means the
-    parametrization is valid on the region.
+    Returns one ``"entry-range"`` diagnostic per entry that leaves [0, 1]
+    somewhere in the region; an empty list means the parametrization is
+    valid on the region.  Row sums need no check here: :class:`ParamBN`
+    rejects any row that does not sum to one.
     """
     diagnostics: list[RowDiagnostic] = []
     for table in pbn.cpts:
         for key, row in table.rows:
-            total = Polynomial.constant(0)
             for index, entry in enumerate(row):
                 lo, hi = entry.bounds(region)
                 if lo < 0 or hi > 1:
@@ -476,13 +476,6 @@ def validate(pbn: ParamBN, region: Region) -> list[RowDiagnostic]:
                             f"entry {index} spans [{float(lo)}, {float(hi)}] over the region",
                         )
                     )
-                total = total + entry
-            if not (total.is_constant and total.constant_value() == 1):
-                if total.is_constant and abs(total.constant_value() - 1) <= ROW_SUM_TOLERANCE:
-                    continue
-                diagnostics.append(
-                    RowDiagnostic(table.owner, key, "row-sum", f"row sums to {total}, not 1")
-                )
     return diagnostics
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import BadRegion, NotWellFormed, TooLarge, UnboundParameter
-from .pmc import PMC, LeveledSolver, ReachSpec, StateLabel
+from .errors import BadRegion, TooLarge, UnboundParameter
+from .pmc import PMC, LeveledSolver, ReachSpec, StateLabel, _distribution
 from .poly import Region
 
 #: Decision margin around the threshold: bounds closer than this are inconclusive.
@@ -127,22 +127,6 @@ def substitute(relaxed: RelaxedPMC, region: Region) -> BoundMDP:
             state_actions[_distribution(pmc.edges[s], dict(zip(local, corner)))] = None
         all_actions[s] = tuple(state_actions)
     return BoundMDP(pmc.states, pmc.initial, tuple(all_actions))
-
-
-def _distribution(out, point) -> tuple[tuple[int, float], ...]:
-    """One state's weights at ``point``, checked to form a sub-distribution."""
-    distribution = []
-    total = 0.0
-    for t, w in out:
-        p = w.evaluate_rounded(point)
-        if not -1e-9 <= p <= 1 + 1e-9:
-            raise NotWellFormed(f"weight {w} evaluates to {p} outside [0, 1]")
-        p = min(max(p, 0.0), 1.0)
-        distribution.append((t, p))
-        total += p
-    if total > 1 + 1e-7:
-        raise NotWellFormed(f"outgoing mass {total} exceeds 1")
-    return tuple(distribution)
 
 
 # -- optimal reachability in the bounding process ---------------------------

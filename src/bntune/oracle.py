@@ -45,7 +45,7 @@ def _prepared(net: BayesNet):
     return positions, prepared
 
 
-def _literal_indices(net: BayesNet, literals: Literals) -> list[tuple[int, int]]:
+def _literal_indices(net: BayesNet | ParamBN, literals: Literals) -> list[tuple[int, int]]:
     positions = {v.name: i for i, v in enumerate(net.variables)}
     out = []
     for var, value in literals:
@@ -182,8 +182,8 @@ def grid_min_distance(
     grid = {name: m.ravel() for name, m in zip(names, mesh)}
     n_points = next(iter(grid.values())).size
 
-    hyp = _literal_indices_any(pbn, constraint.hypothesis)
-    ev = _literal_indices_any(pbn, constraint.evidence)
+    hyp = _literal_indices(pbn, constraint.hypothesis)
+    ev = _literal_indices(pbn, constraint.evidence)
     positions = {v.name: i for i, v in enumerate(pbn.variables)}
     row_lookup = []
     for v, table in zip(pbn.variables, pbn.cpts):
@@ -250,7 +250,3 @@ def grid_min_distance(
     point = {name: float(grid[name][best]) for name in names}
     return point, float(distance[best])
 
-
-def _literal_indices_any(net: BayesNet | ParamBN, literals: Literals) -> list[tuple[int, int]]:
-    positions = {v.name: i for i, v in enumerate(net.variables)}
-    return [(positions[var], net.variable_map[var].value_index(val)) for var, val in literals]

@@ -143,7 +143,7 @@ class _Builder:
             self.order = tuple(v for v in self.order if v in relevant)
         self.retained = _retained_sets(self.order, self.variable_map)
         origin = getattr(net, "origin", None)
-        self.point = None if origin is None else {k: float(v) for k, v in origin}
+        self.point = None if origin is None else dict(origin)
         self.states: list[StateLabel] = []
         self.index: dict[StateLabel, int] = {}
         self.edges: list[dict[int, Polynomial]] = []
@@ -208,7 +208,7 @@ class _Builder:
                         key = id(entry)
                         if key not in positive:
                             positive[key] = (
-                                self.point is None or entry.evaluate_numeric(self.point) > 0.0
+                                self.point is None or entry.evaluate_rounded(self.point) > 0.0
                             )
                         if positive[key]:
                             reached.add(target)
@@ -404,24 +404,40 @@ class LeveledSolver:
         raise NotWellFormed(f"policy iteration did not settle within {len(actions)} rounds")
 
 
+def _distribution(out, point: Mapping[str, Fraction]) -> tuple[tuple[int, float], ...]:
+    """One state's weights at the rational ``point``, checked to form a sub-distribution.
+
+    Each weight is its exact value rounded once, so a valid one is already
+    in [0, 1].  The mass may exceed 1 by the rounding that constant rows of
+    parsed files keep (``bn.ROW_SUM_TOLERANCE``).  Raises :class:`NotWellFormed`.
+    """
+    distribution = []
+    total = 0.0
+    for target, weight in out:
+        value = weight.evaluate_rounded(point)
+        if not -1e-12 <= value <= 1 + 1e-12:
+            raise NotWellFormed(f"transition weight {weight} evaluates to {value} outside [0, 1]")
+        value = min(max(value, 0.0), 1.0)
+        distribution.append((target, value))
+        total += value
+    if total > 1 + 1e-7:
+        raise NotWellFormed(f"outgoing mass {total} exceeds 1")
+    return tuple(distribution)
+
+
 def reach_prob(pmc: PMC, u: Instantiation, targets: Iterable[int]) -> float:
     """Exact probability of reaching ``targets`` from the initial state at ``u``.
 
     The instantiated chain is solved directly by :class:`LeveledSolver`, not
     iterated, so the result is accurate to floating point and serves as the
-    reference for the interval-based methods.  Raises :class:`NotWellFormed`
-    for a chain that is not leveled.
+    reference for the interval-based methods.  Every state's weights must
+    form a sub-distribution at ``u``, as :func:`lifting.relax` and
+    :func:`lifting.substitute` require at each corner.  Raises
+    :class:`NotWellFormed` for a weight outside [0, 1], for outgoing mass
+    above 1, and for a chain that is not leveled.
     """
     point = {name: _binary_fraction(v) for name, v in u.items()}
-    actions = []
-    for out in pmc.edges:
-        distribution = []
-        for target, weight in out:
-            value = weight.evaluate_rounded(point)
-            if not (-1e-12 <= value <= 1 + 1e-12):
-                raise NotWellFormed(f"transition weight {weight} evaluates to {value} outside [0, 1]")
-            distribution.append((target, min(max(value, 0.0), 1.0)))
-        actions.append((tuple(distribution),))
+    actions = [(_distribution(out, point),) for out in pmc.edges]
     return LeveledSolver(pmc.states, pmc.initial, pmc.edges, targets).reach(actions)
 
 

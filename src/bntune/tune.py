@@ -3,9 +3,9 @@
 Starting from the original values, candidate boxes of growing size are carved
 out around them and partitioned into accepting/rejecting parts; as soon as
 accepting volume appears, the accepting point closest to the original values
-is returned.  Growth follows a geometric schedule that ends at an upper bound
-on the largest possible distance, so a fully rejecting final box proves
-infeasibility.
+is returned.  Growth follows a geometric schedule whose last box is the
+declared box itself, under either distance, so a fully rejecting last box
+proves infeasibility.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .bn import Constraint, Instantiation, ParamBN
 from .errors import CoverageUnreachable, EmptyInput, NotWellFormed, UnsupportedForCD
 from .pmc import compile_tailored, reach_prob
 from .poly import Region, _binary_fraction
-from .refine import BOX_GUARD, PartitionResult, partition
+from .refine import BOX_GUARD, partition
 
 
 class Status(str, Enum):
@@ -42,10 +42,10 @@ class Hyper:
 
     ``eta`` is the coverage factor each partitioning must reach (the share of
     a candidate box that must be conclusively classified); ``gamma`` the
-    geometric growth factor of the candidate box sizes (the schedule runs
-    from ``d0 * gamma**(max_iters-1)`` up to ``d0``); ``guard`` caps the
-    number of box verifications each partitioning may spend.  Candidate
-    boxes are clamped to each parameter's declared interval only.
+    geometric growth factor of the candidate box sizes (the radii run from
+    ``d0 * gamma**(max_iters-1)`` up to ``d0``, and the last box is the
+    declared box); ``guard`` caps the number of box verifications each
+    partitioning may spend.  Candidate boxes lie inside the declared box.
     """
 
     eta: Fraction = Fraction(99, 100)
@@ -140,11 +140,14 @@ def distance_cd(pbn: ParamBN, u: Instantiation) -> float:
 
 
 def d0_upper(pbn: ParamBN, measure: str = "ec") -> float:
-    """An upper bound on the distance of any instantiation in the declared box."""
+    """An upper bound on the distance of any instantiation in the declared box.
+
+    It is the radius of the schedule's last step, whose box is the declared
+    box itself.  Raises :class:`ValueError` for an unknown ``measure``.
+    """
+    _measure(measure)
     if measure == "ec":
         return math.sqrt(len(pbn.params))
-    if measure != "cd":
-        raise ValueError(f"measure must be 'ec' or 'cd', got {measure!r}")
     cpt = _single_tuned_cpt(pbn)
     if cpt is None:
         return 0.0
@@ -168,10 +171,15 @@ def d0_upper(pbn: ParamBN, measure: str = "ec") -> float:
 def _boxed_axis(
     u0: Fraction, lo: Fraction, hi: Fraction, declared: tuple[Fraction, Fraction]
 ) -> tuple[Fraction, Fraction]:
-    """Clamp a candidate interval to the declared one, never excluding the
-    original value itself."""
+    """Clamp a candidate interval into the declared one.
+
+    The result always contains the original value clamped into the declared
+    interval, so it is never empty and never leaves the declared interval,
+    even when the original value lies outside it.
+    """
     dlb, dub = declared
-    return min(max(lo, dlb), u0), max(min(hi, dub), u0)
+    center = min(max(u0, dlb), dub)
+    return min(max(lo, dlb), center), max(min(hi, dub), center)
 
 
 def expand_region_ec(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -> Region:
@@ -186,11 +194,13 @@ def expand_region_ec(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -
 
 
 def expand_region_cd(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -> Region:
-    """The box around ``u0`` within log-ratio distance ``epsilon``, clamped to
+    """A box around ``u0`` inside log-ratio distance ``epsilon``, clamped to
     the declared intervals.
 
-    With ``a = exp(epsilon/2)``, keeping both ``x/x0`` and ``(1-x)/(1-x0)``
-    inside ``[1/a, a]`` keeps every entry ratio of the tuned table inside
+    When ``u0`` lies in the declared box, every point of the box built here
+    lies within the radius, up to the float rounding of its ends.  With
+    ``a = exp(epsilon/2)``, keeping both ``x/x0`` and ``(1-x)/(1-x0)`` inside
+    ``[1/a, a]`` keeps every entry ratio of the tuned table inside
     ``[1/a, a]`` (co-varied entries scale with ``(1-x)/(1-x0)``), so the
     distance over the whole box stays at most ``epsilon``.
     """
@@ -206,12 +216,15 @@ def expand_region_cd(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -
     return Region(pbn.parameter_names, tuple(intervals))
 
 
-def _expander(measure: str):
-    if measure == "ec":
-        return expand_region_ec
-    if measure == "cd":
-        return expand_region_cd
-    raise ValueError(f"measure must be 'ec' or 'cd', got {measure!r}")
+#: Per distance measure: the distance itself and the candidate box of a radius.
+_MEASURES = {"ec": (distance_ec, expand_region_ec), "cd": (distance_cd, expand_region_cd)}
+
+
+def _measure(measure: str):
+    try:
+        return _MEASURES[measure]
+    except KeyError:
+        raise ValueError(f"measure must be 'ec' or 'cd', got {measure!r}") from None
 
 
 def minimal_instantiation(
@@ -226,11 +239,9 @@ def minimal_instantiation(
     so per box the closest point clamps ``u0`` into the box; ties between
     boxes keep the earliest box.
     """
-    if measure not in ("ec", "cd"):
-        raise ValueError(f"measure must be 'ec' or 'cd', got {measure!r}")
+    distance_fn, _ = _measure(measure)
     if not boxes:
         raise EmptyInput("no boxes to pick an instantiation from")
-    distance_fn = distance_ec if measure == "ec" else distance_cd
     best_point: dict[str, Fraction] | None = None
     best = math.inf
     for box in boxes:
@@ -258,17 +269,20 @@ def tune(
     """Search for a satisfying instantiation of minimal distance.
 
     Returns immediately when the original values satisfy the constraint.
-    Otherwise candidate boxes grow along the geometric schedule; each box is
-    partitioned until an accepting part turns up or the box is proven fully
-    rejecting, so even accepting slivers far below the coverage allowance are
-    found.  The first box with accepting volume yields the result.  When even
-    the full declared box is conclusively rejecting everywhere the constraint
-    is infeasible; anything short of that proof ends as unknown.  A
+    Otherwise candidate boxes grow along the geometric schedule: the first
+    ``max_iters - 1`` are built around the original values by the measure's
+    expander, and the last is the declared box itself, at radius ``d0``.
+    Each box is partitioned until an accepting part turns up or the box is
+    proven fully rejecting, so even accepting slivers far below the coverage
+    allowance are found.  The first box with accepting volume yields the
+    result.  When the last box is conclusively rejecting everywhere, no
+    point of the declared box satisfies the constraint and the result is
+    infeasible; anything short of that proof ends as unknown.  A
     partitioning that hits its box guard contributes whatever it classified
-    so far.
+    so far.  Raises :class:`ValueError` for an unknown ``measure``.
     """
-    expander = _expander(measure)
     d0 = d0_upper(pbn, measure)
+    _, expand = _measure(measure)
     u0 = pbn.origin_instantiation()
     chain, spec = compile_tailored(pbn, constraint, order=order)
     p0 = reach_prob(chain, u0, spec.targets)
@@ -276,15 +290,13 @@ def tune(
         return TuneResult(Status.SATISFIED, dict(u0), 0.0, measure, p0, None, d0, ())
 
     gamma = float(hyper.gamma)
-    schedule = [d0 * gamma ** (hyper.max_iters - i) for i in range(1, hyper.max_iters + 1)]
+    radii = [d0 * gamma ** (hyper.max_iters - i) for i in range(1, hyper.max_iters + 1)]
+    boxes = [expand(pbn, u0, epsilon) for epsilon in radii[:-1]] + [pbn.space()]
     # Through the module attribute, so that a substituted verifier class
     # (the benchmark's traced one) is the one built.
     verifier = refine.RegionVerifier(chain, spec)
     stats: list[IterationStats] = []
-    last_region: Region | None = None
-    last_result: PartitionResult | None = None
-    for epsilon in schedule:
-        region = expander(pbn, u0, epsilon)
+    for epsilon, region in zip(radii, boxes):
         try:
             result = partition(
                 chain,
@@ -302,7 +314,6 @@ def tune(
                 epsilon, region, result.verifications, *result.counts, result.coverage
             )
         )
-        last_region, last_result = region, result
         if result.accepting:
             point, dist = minimal_instantiation(pbn, u0, result.accepting, measure)
             prob = reach_prob(chain, point, spec.targets)
@@ -314,13 +325,5 @@ def tune(
                 Status.TUNED, point, dist, measure, prob, epsilon, d0, tuple(stats)
             )
 
-    proved_infeasible = (
-        last_region is not None
-        and last_region == pbn.space()
-        and last_result is not None
-        and last_result.coverage == 1
-        and not last_result.accepting
-    )
-    status = Status.INFEASIBLE if proved_infeasible else Status.UNKNOWN
-    epsilon_final = schedule[-1] if schedule else None
-    return TuneResult(status, None, None, measure, None, epsilon_final, d0, tuple(stats))
+    status = Status.INFEASIBLE if result.coverage == 1 else Status.UNKNOWN
+    return TuneResult(status, None, None, measure, None, d0, d0, tuple(stats))

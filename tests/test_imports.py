@@ -4,8 +4,10 @@ A stdlib-only stand-in for a linter's unused-import check.  A name counts
 as used when it is read anywhere in the module, annotations included (also
 inside a quoted annotation), or listed in ``__all__``.  ``from __future__``
 imports are exempt, and so are the re-exports of the package's
-``__init__.py``.  Importing the package must not load numpy, which only
-``oracle.grid_min_distance`` needs.
+``__init__.py``.  Likewise every private top-level name of the package (a
+function, class or constant named ``_x``) is read somewhere in the package
+outside its own definition.  Importing the package must not load numpy,
+which only ``oracle.grid_min_distance`` needs.
 """
 
 from __future__ import annotations
@@ -74,6 +76,70 @@ def test_the_check_finds_an_unused_import():
         "    return os.sep",
     ])
     assert unused_imports(source) == ["Mapping (line 3)", "z (line 4)"]
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    return {
+        part.id for part in ast.walk(node)
+        if isinstance(part, ast.Name) and isinstance(part.ctx, ast.Load)
+    }
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level names of ``sources`` that nothing reads outside their definition.
+
+    A name defined in module ``m`` is read when another top-level statement
+    of ``m`` reads it, or when another module imports it from ``m`` (which
+    the unused-import check then makes that module read).
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {
+        (node.module.rpartition(".")[2], alias.name)
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+    unused = []
+    for module, tree in trees.items():
+        reads = [_read_names(node) for node in tree.body]
+        for i, node in enumerate(tree.body):
+            for name in _defined_names(node):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                elsewhere = any(name in seen for j, seen in enumerate(reads) if j != i)
+                if not elsewhere and (module, name) not in imported:
+                    unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_private_names_are_all_used():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unused_private_names(sources) == []
+
+
+def test_the_check_finds_an_unused_private_name():
+    sources = {
+        "a": "\n".join([
+            "_USED = 1",
+            "_UNUSED = 2",
+            "def _recursive(n):",
+            "    return _recursive(n - 1) if n else _USED",
+            "def _called():",
+            "    return 0",
+        ]),
+        "b": "from .a import _called\nclass _Lone:\n    pass\nvalue = _called()",
+        "c": "def _USED():\n    return 1",
+    }
+    assert unused_private_names(sources) == ["a._UNUSED", "a._recursive", "b._Lone", "c._USED"]
 
 
 def test_importing_the_package_does_not_load_numpy():

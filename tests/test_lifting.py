@@ -188,6 +188,15 @@ def test_constant_weight_error_comes_from_relax_and_the_constructor():
         relax(pmc)
     with pytest.raises(NotWellFormed):
         RegionVerifier(pmc, ReachSpec(frozenset({3}), "<=", Fraction(1, 2)))
+    # Each weight of the row (3/4, 3/4) is within [0, 1], but its mass is
+    # not; reach_prob checks a point with the same test as relax.
+    three_quarters = C(Fraction(3, 4))
+    over_full = PMC(states[:3], 0, (((1, three_quarters), (2, three_quarters)), ((1, ONE),),
+                                    ((2, ONE),)), ())
+    with pytest.raises(NotWellFormed):
+        relax(over_full)
+    with pytest.raises(NotWellFormed):
+        reach_prob(over_full, {}, {1})
 
 
 def test_substitute_guards_state_local_parameter_blowup():

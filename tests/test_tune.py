@@ -398,6 +398,44 @@ def test_tune_infeasible_with_a_wide_declared_interval(covid_net):
     assert result.iterations[-1].region == pbn.space()
 
 
+def test_tune_infeasible_under_cd(covid_net):
+    # The cd expander never reaches the declared box, even at radius d0; the
+    # schedule's last box is the declared box itself.
+    rows = [("PCR", ("yes",), 0), ("PCR", ("no",), 0)]
+    pbn = parametrize(covid_net, rows, {rows[0]: "q", rows[1]: "r"})
+    assert expand_region_cd(pbn, pbn.origin_instantiation(), d0_upper(pbn, "cd")) != pbn.space()
+    constraint = Constraint(
+        (("COVID-19", "no"),), (("Antigen", "pos"), ("PCR", "pos")), "<=", Fraction(0)
+    )
+    result = tune(pbn, constraint, measure="cd")
+    assert result.status is Status.INFEASIBLE
+    assert result.iterations[-1].region == pbn.space()
+
+
+def test_tune_with_the_origin_outside_its_interval(covid_net):
+    # p's original value 0.72 lies above its declared interval [0.1, 0.2], so
+    # every candidate box clamps its centre to 0.2 and stays declared.
+    params = """
+        param p { entry: Antigen(yes, yes): pos; interval: 0.1, 0.2; }
+        param q { entry: PCR(yes): pos; }
+    """
+    pbn = parse_param_spec(params, covid_net)
+    evidence = (("Antigen", "pos"), ("PCR", "pos"))
+    raised = Constraint((("COVID-19", "no"),), evidence, ">=", Fraction(2, 100))
+    result = tune(pbn, raised)
+    assert result.status is Status.TUNED
+    assert result.instantiation == {"p": Fraction(1, 5), "q": Fraction(19, 20)}
+    lowered = Constraint((("COVID-19", "no"),), evidence, "<=", Fraction(9, 1000))
+    result = tune(pbn, lowered)
+    assert result.status is Status.INFEASIBLE
+    space = pbn.space()
+    for it in result.iterations:
+        assert all(
+            dlb <= lb <= ub <= dub
+            for (lb, ub), (dlb, dub) in zip(it.region.intervals, space.intervals)
+        )
+
+
 def test_tune_unknown_when_coverage_unreachable(toy_pbn):
     # lambda = 0.2 sits exactly at the image of the left boundary x = 0.2, so
     # boxes touching it never classify; a small guard gives up quickly.
