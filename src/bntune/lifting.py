@@ -159,9 +159,10 @@ class RegionVerifier:
     shared between calls, which matters when a partitioning loop verifies
     thousands of sibling boxes.  Sharing the level order is sound because it
     depends only on which edges the chain has, and every box's process keeps
-    exactly the chain's edges.  The constructor also settles the states whose
-    values no box can change: those whose action is parameter-free and whose
-    successors are settled or restart (see :meth:`LeveledSolver.settle`).
+    exactly the chain's edges.  The constructor also collapses the states
+    that no box changes, the parameter-free ones, into affine forms over the
+    states left in the solver's pass (see :meth:`LeveledSolver.settle`), so
+    each bound walks only the chain's parametric skeleton.
     """
 
     def __init__(self, pmc: PMC, spec: ReachSpec):

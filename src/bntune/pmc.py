@@ -286,18 +286,33 @@ class LeveledSolver:
     best T - x*E over all policies, and its sign bounds every policy's T/E
     by x.  Rounds are capped at the number of states.
 
+    :meth:`settle` collapses, once, every state that has a single fixed
+    action and no parameter into an affine form over the states that stay
+    in the pass; a round then walks only those states and expands the forms
+    that they read directly.
+
     Rounding.  Let u = 2**-53, gamma_n = n*u/(1 - n*u), d the number of
     levels and k the largest out-degree.  Each weight is the exact value at
     a rational point rounded once (:meth:`Polynomial.evaluate_rounded`), a
-    relative error of at most u.  Along each edge of a path the pass adds
-    one product and at most k - 1 additions.  A path has at most d edges, so
-    T and E at the initial state are each within gamma_{d(k+1)} of the exact
-    T and E of the chosen policy, and T/E, with its one division, within
-    gamma_m for m = 2d(k+1) + 1.  :attr:`pad` is 2*gamma_m: the factor 2
-    covers turning that into a bound on the exact value, which divides by
-    1 - gamma_m, and the two roundings of the multiplication that applies
-    the pad.  Policy iteration compares gains in floating point, so two
-    policies whose gains agree to within their rounding may be ranked
+    relative error of at most u.  Every operand is non-negative, so a
+    computed T (or E) is a sum over the paths that the exact T counts of
+    each path's exact weight product times one factor (1 + delta), |delta|
+    <= u, per rounding that the path's term went through.  Summing a state's
+    action, in a round or into a form's constant or coefficients in
+    :meth:`settle`, costs a term at most k + 1 roundings per edge: the
+    weight's, one product, and at most k - 1 additions, since each successor
+    adds at most one summand to any one sum.  A round expands a form only
+    where a state of the pass reads it, so at most once per edge of a path,
+    and an expansion costs a term at most k + 1 roundings more: one product
+    and at most k additions, since a form has at most k coefficients.  A
+    path has at most d edges, so T and E at the initial state are each
+    within gamma_n of the exact T and E of the chosen policy, n = 2d(k+1),
+    and T/E, with its one division, within gamma_m for m = 2n + 1, as
+    (1 + gamma_n)/(1 - gamma_n) = 1 + gamma_{2n}.  :attr:`pad` is 2*gamma_m:
+    the factor 2 covers turning that into a bound on the exact value, which
+    divides by 1 - gamma_m, and the two roundings of the multiplication that
+    applies the pad.  Policy iteration compares gains in floating point, so
+    two policies whose gains agree to within their rounding may be ranked
     either way.  The pad does not cover that case; it moves x by at most
     about d*m*u*E_max/E, where E is the ending mass of the policy passed
     over and E_max the largest ending mass of any policy.
@@ -313,6 +328,8 @@ class LeveledSolver:
         targets = frozenset(targets)
         levels = [state.level for state in states]
         self.initial = initial
+        self._edges = edges
+        self._forms: dict[int, tuple[tuple[int, float], ...]] = {}
         self._base_t = [0.0] * len(states)
         self._base_e = [0.0] * len(states)
         self._order: list[int] = []
@@ -337,41 +354,71 @@ class LeveledSolver:
         self._order.sort(key=levels.__getitem__, reverse=True)
         if initial not in targets:
             self._order.append(initial)
-        m = 2 * len(set(levels)) * (degree + 1) + 1
+        m = 4 * len(set(levels)) * (degree + 1) + 1
         #: Relative pad that makes a computed value a sound bound (see above).
         self.pad = 2 * m * 2.0**-53 / (1 - m * 2.0**-53)
 
     def settle(self, actions) -> None:
-        """Fold the states whose T and E no box and no x can change into the base values.
+        """Collapse the parameter-free states into affine forms over the states of the pass.
 
         ``actions[s]`` is ``None`` for a parametric state and otherwise the
-        single action that every later call passes unchanged.  Such a state
-        is *settled* when each of its successors is settled (leaves and
-        targets are) or is the initial state, whose T and E a pass reads as
-        their base values.  Settled states leave the pass order; their T and
-        E come from the same float operations, in the same order, that
-        :meth:`_round` would apply, so every later value is the same float.
+        single action that every later call passes unchanged.  Deepest level
+        first, each parameter-free state other than the initial one gets the
+        form (T, E) = (T0, E0) + sum_j c_j*(T_j, E_j): T0 and E0 collect the
+        mass of its paths into targets and leaves (a restart reads zero), c_j
+        that of its paths into the state j of the pass.  A state stays in
+        the pass when it is parametric, is the initial state, or would get
+        more coefficients than its action has successors, so no form is
+        longer than the action it replaces.  A round then visits only the
+        states of the pass and the collapsed states that they read directly,
+        whose forms it expands; a form without coefficients is a constant.
         """
-        live = set(self._order)
+        initial = self.initial
+        # Targets and leaves are constants; a restart reads zero.
+        forms = dict.fromkeys(set(range(len(actions))).difference(self._order), ())
+        forms[initial] = ()
+        kept = []
         for s in self._order:  # successors come first, being one level deeper
-            if s == self.initial or actions[s] is None:
+            if s == initial or actions[s] is None:
+                kept.append(s)
                 continue
             (action,) = actions[s]
-            if any(succ in live and succ != self.initial for succ, _ in action):
-                continue
             t = e = 0.0
+            coefficients: dict[int, float] = {}
             for succ, p in action:
-                t += p * self._base_t[succ]
-                e += p * self._base_e[succ]
-            self._base_t[s], self._base_e[s] = t, e
-            live.discard(s)
-        self._order = [s for s in self._order if s in live]
+                form = forms.get(succ)
+                if form is None:  # a state of the pass
+                    form = ((succ, 1.0),)
+                else:
+                    t += p * self._base_t[succ]
+                    e += p * self._base_e[succ]
+                for j, c in form:
+                    coefficients[j] = coefficients[j] + p * c if j in coefficients else p * c
+            if len(coefficients) > len(action):
+                kept.append(s)
+            else:
+                forms[s] = tuple(coefficients.items())
+                self._base_t[s], self._base_e[s] = t, e
+        read = {succ for s in kept for succ, _ in self._edges[s]}
+        self._forms = {s: forms[s] for s in read if forms.get(s)}
+        keep = set(kept).union(self._forms)
+        self._order = [s for s in self._order if s in keep]
+        self._edges = None
 
     def _round(self, actions, x: float, maximize: bool) -> tuple[float, float]:
         """T and E at the initial state under the greedy policy at ``x``."""
         t_of = self._base_t.copy()
         e_of = self._base_e.copy()
+        forms = self._forms
         for s in self._order:
+            form = forms.get(s)
+            if form is not None:
+                t, e = t_of[s], e_of[s]
+                for j, c in form:
+                    t += c * t_of[j]
+                    e += c * e_of[j]
+                t_of[s], e_of[s] = t, e
+                continue
             best = None
             for action in actions[s]:
                 t = e = 0.0

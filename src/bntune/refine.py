@@ -60,16 +60,20 @@ def partition(
     With ``until_accepting`` the loop keeps refining past
     the coverage goal until it has found at least one accepting box or
     classified the whole region, so accepting parts smaller than the ``1 -
-    eta`` allowance cannot be skipped over.  Raises
+    eta`` allowance cannot be skipped over.  Only live axes are bisected:
+    those of the parameters in ``verifier.relaxed.parametric``, the
+    verifier being built from ``pmc`` and ``spec`` when none is given.  Raises
     :class:`CoverageUnreachable`, carrying the partial result, when ``guard``
     verifications were spent or only unsplittable inconclusive boxes remain.
     """
     eta = as_fraction(eta)
     if not 0 <= eta <= 1:
         raise ValueError(f"eta must be within [0, 1], got {eta}")
+    if verifier is None:
+        verifier = RegionVerifier(pmc, spec)
     axes = [i for i, (lb, ub) in enumerate(region.intervals) if ub > lb]
     input_widths = {i: region.intervals[i][1] - region.intervals[i][0] for i in axes}
-    on_edges = {p for out in pmc.edges for _, w in out for p in w.parameters}
+    on_edges = {name for _, local in verifier.relaxed.parametric for name in local}
     live_axes = [i for i in axes if region.params[i] in on_edges]
 
     def widest_axis(box: Region) -> int | None:
@@ -107,8 +111,6 @@ def partition(
             partial=result(),
         )
 
-    if verifier is None:
-        verifier = RegionVerifier(pmc, spec)
     done = False
     while queue and not done:
         box = queue.popleft()

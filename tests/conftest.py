@@ -9,8 +9,11 @@ The stock requirement used throughout the suite bounds the residual risk
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,8 @@ from bntune import (
     net_from_tables,
     parametrize,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 VARIABLES = [
     ("COVID-19", ("yes", "no"), ()),
@@ -261,3 +266,17 @@ def region_samples(
             point[name] = min(max(rng.uniform(float(lo), float(hi)), float(lo)), float(hi))
         points.append(point)
     return points
+
+
+def build_layered_6x6() -> tuple[ParamBN, Constraint]:
+    """The benchmark's layered-6x6 net: x on L0_0, y on L3_0[t,t], Pr(L5_0 = t) <= 0.51."""
+    module = sys.modules.get("workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["workloads"] = module
+        spec.loader.exec_module(module)
+    variables, tables = module.layered_tables(6, 6, 1)
+    coords = (("L0_0", (), 0), ("L3_0", ("t", "t"), 0))
+    pbn = parametrize(net_from_tables(variables, tables), coords, {coords[0]: "x", coords[1]: "y"})
+    return pbn, Constraint((("L5_0", "t"),), (), "<=", Fraction(51, 100))

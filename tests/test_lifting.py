@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from conftest import (
     build_covid_constraint,
     build_covid_net,
     build_covid_pbn,
+    build_layered_6x6,
     random_constraint,
     random_net,
     random_parametrization,
@@ -325,8 +327,9 @@ def random_box(rng: random.Random, pbn) -> Region:
     return Region.from_bounds(bounds)
 
 
-def reference_bounds(pmc: PMC, targets, region: Region) -> tuple[float, float]:
-    """Bounds from scratch: every weight at every corner in Fractions, then float()."""
+def reference_bounds(pmc: PMC, targets, region: Region) -> tuple[float, float, float]:
+    """Bounds from scratch, and their pad: every weight at every corner in
+    Fractions, then float(), solved by the whole level-ordered pass."""
     actions = []
     for out in pmc.edges:
         local = sorted({name for _, w in out for name in w.parameters})
@@ -340,7 +343,7 @@ def reference_bounds(pmc: PMC, targets, region: Region) -> tuple[float, float]:
     pad = LeveledSolver(pmc.states, pmc.initial, pmc.edges, targets).pad
     lo = max(extremal_reach(mdp, targets, "min") * (1 - pad), 0.0)
     hi = min(extremal_reach(mdp, targets, "max") * (1 + pad), 1.0)
-    return lo, hi
+    return lo, hi, pad
 
 
 def reference_verdict(spec: ReachSpec, lo: float, hi: float) -> Verdict:
@@ -354,15 +357,55 @@ def reference_verdict(spec: ReachSpec, lo: float, hi: float) -> Verdict:
     return Verdict.REJECTING if hi < threshold - MARGIN else Verdict.INCONCLUSIVE
 
 
+def exact_corner_extrema(pmc: PMC, targets, region: Region) -> tuple[Fraction, Fraction]:
+    """Least and greatest reachability over every corner policy, in Fractions.
+
+    A corner policy gives each state one corner of its own parameters'
+    intervals, as the relaxation does.  Each policy is solved exactly by one
+    deepest-level-first pass in which a restart reads zero: x = T/E.
+    """
+    choices = []
+    for out in pmc.edges:
+        local = sorted({name for _, w in out for name in w.parameters})
+        axes = [sorted(set(region.interval(name))) for name in local]
+        corners = {
+            tuple((t, w.evaluate(dict(zip(local, corner)))) for t, w in out): None
+            for corner in itertools.product(*axes)
+        }
+        choices.append(tuple(corners))
+    assert math.prod(map(len, choices)) <= 2**12
+    if pmc.initial in targets:
+        return Fraction(1), Fraction(1)
+    order = sorted(range(pmc.n_states), key=lambda s: pmc.states[s].level, reverse=True)
+    values = []
+    for policy in itertools.product(*choices):
+        t_of = [Fraction(0)] * pmc.n_states
+        e_of = [Fraction(0)] * pmc.n_states
+        for s in order:
+            if s in targets:
+                t_of[s] = e_of[s] = Fraction(1)
+            elif s != pmc.initial and all(t == s for t, _ in policy[s]):
+                e_of[s] = Fraction(1)
+            else:
+                t_of[s] = sum((p * t_of[t] for t, p in policy[s] if t != pmc.initial), Fraction(0))
+                e_of[s] = sum((p * e_of[t] for t, p in policy[s] if t != pmc.initial), Fraction(0))
+        t, e = t_of[pmc.initial], e_of[pmc.initial]
+        values.append(t / e if e else Fraction(0))
+    return min(values), max(values)
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: (build_covid_pbn(), build_covid_constraint()), chain30, restart_heavy_net],
     ids=["covid", "chain30", "restart-heavy"],
 )
 def test_long_lived_verifier_matches_a_from_scratch_reference(build):
-    # One verifier serves every box, so its relaxation and its settled states
-    # are reused; each box must still give exactly the bounds and the
-    # verdict of a reference that shares nothing with it.
+    # One verifier serves every box, so its relaxation and its collapsed
+    # forms are reused.  Each box must still give the verdict of a reference
+    # that shares nothing with it and solves the whole chain in level order,
+    # and bounds that differ from the reference's only by rounding (each
+    # side within its pad of the exact optimum) and that bracket the exact
+    # corner extrema.
     pbn, constraint = build()
     pmc, spec = compile_tailored(pbn, constraint)
     verifier = RegionVerifier(pmc, spec)
@@ -370,12 +413,117 @@ def test_long_lived_verifier_matches_a_from_scratch_reference(build):
     verdicts = set()
     for _ in range(300):
         box = random_box(rng, pbn)
-        lo, hi = reference_bounds(pmc, spec.targets, box)
-        assert verifier.bounds(box) == (lo, hi)
+        ref_lo, ref_hi, ref_pad = reference_bounds(pmc, spec.targets, box)
+        lo, hi = verifier.bounds(box)
+        slack = verifier.solver.pad + ref_pad
+        assert abs(lo - ref_lo) <= slack * ref_lo and abs(hi - ref_hi) <= slack * ref_hi
+        exact_lo, exact_hi = exact_corner_extrema(pmc, spec.targets, box)
+        assert Fraction(lo) <= exact_lo and exact_hi <= Fraction(hi)
         verdict = verifier.verify(box)
-        assert verdict is reference_verdict(spec, lo, hi)
+        assert verdict is reference_verdict(spec, ref_lo, ref_hi)
         verdicts.add(verdict)
     assert len(verdicts) >= 2
+
+
+def test_collapsed_verifier_brackets_exact_extrema_on_random_nets():
+    # The verifier's collapsed pass against two references that share none
+    # of its work: the exact corner extrema, and extremal_reach on the
+    # uncollapsed corner MDP, whose padded optima must give the same verdict.
+    for seed in range(60):
+        rng = random.Random(seed)
+        net = random_net(rng)
+        pbn = random_parametrization(rng, net)
+        constraint = random_constraint(rng, net)
+        pmc, spec = compile_tailored(pbn, constraint)
+        verifier = RegionVerifier(pmc, spec)
+        for _ in range(5):
+            box = random_box(rng, pbn)
+            lo, hi = verifier.bounds(box)
+            exact_lo, exact_hi = exact_corner_extrema(pmc, spec.targets, box)
+            assert Fraction(lo) <= exact_lo and exact_hi <= Fraction(hi), seed
+            ref_lo, ref_hi, _ = reference_bounds(pmc, spec.targets, box)
+            assert verifier.verify(box) is reference_verdict(spec, ref_lo, ref_hi), seed
+
+
+# -- the work of one round -------------------------------------------------------
+
+
+def multiply_adds(solver: LeveledSolver, actions) -> int:
+    """Multiply-adds of one round: a form's coefficients, or every pair of every action."""
+    return sum(
+        len(solver._forms[s]) if s in solver._forms else sum(map(len, actions[s]))
+        for s in solver._order
+    )
+
+
+def assert_no_more_work_than_the_whole_pass(pmc: PMC, spec: ReachSpec, box: Region) -> RegionVerifier:
+    verifier = RegionVerifier(pmc, spec)
+    whole = LeveledSolver(pmc.states, pmc.initial, pmc.edges, spec.targets)
+    actions = substitute(verifier.relaxed, box).actions
+    assert multiply_adds(verifier.solver, actions) <= multiply_adds(whole, actions)
+    assert {s for s, _ in verifier.relaxed.parametric} <= set(verifier.solver._order)
+    assert verifier.solver._order[-1] == pmc.initial
+    return verifier
+
+
+def test_layered_6x6_pass_is_its_parametric_skeleton():
+    # 3 of the 709 states carry a parameter; the pass keeps them and the two
+    # collapsed states that they read directly, of two coefficients each.
+    pbn, constraint = build_layered_6x6()
+    pmc, spec = compile_tailored(pbn, constraint)
+    verifier = assert_no_more_work_than_the_whole_pass(pmc, spec, pbn.space())
+    assert len(verifier.relaxed.parametric) == 3
+    assert len(verifier.solver._order) == 5
+    assert sorted(map(len, verifier.solver._forms.values())) == [2, 2]
+
+
+def test_collapsed_pass_does_no_more_work_on_random_nets():
+    expanding = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        net = random_net(rng, max_nodes=6)
+        pbn = random_parametrization(rng, net)
+        pmc, spec = compile_tailored(pbn, random_constraint(rng, net))
+        verifier = assert_no_more_work_than_the_whole_pass(pmc, spec, random_box(rng, pbn))
+        expanding += bool(verifier.solver._forms)
+    assert expanding >= 5
+
+
+def fan_out_chain():
+    """s1 is parameter-free with two successors, s2 and s3, each of which fans
+    out to two parametric states; the parametric states s4..s7 reach the
+    target s8 with probability x and the leaf s9 otherwise."""
+    states = (
+        StateLabel(0, ()),
+        StateLabel(1, (("A", "a"),)),
+        *(StateLabel(2, (("B", v),)) for v in "ab"),
+        *(StateLabel(3, (("C", v),)) for v in "abcd"),
+        *(StateLabel(4, (("D", v),)) for v in "ab"),
+    )
+    half = C(Fraction(1, 2))
+    edges = (
+        ((1, ONE),),
+        ((2, half), (3, half)),
+        ((4, half), (5, half)),
+        ((6, half), (7, half)),
+        *(((8, X), (9, ONE - X)) for _ in range(4)),
+        ((8, ONE),),
+        ((9, ONE),),
+    )
+    return PMC(states, 0, edges, (("x", (Fraction(0), Fraction(1))),))
+
+
+def test_fan_out_state_stays_in_the_pass():
+    # Collapsing s1 would give it a form over four states in place of its
+    # two successors, so it stays; s2 and s3 collapse and are expanded for it.
+    pmc = fan_out_chain()
+    spec = ReachSpec(frozenset({8}), "<=", Fraction(1, 2))
+    box = toy_box("1/5", "3/5")
+    verifier = assert_no_more_work_than_the_whole_pass(pmc, spec, box)
+    assert 1 in verifier.solver._order and 1 not in verifier.solver._forms
+    assert sorted(verifier.solver._forms) == [2, 3]
+    lo, hi = verifier.bounds(box)
+    assert lo <= 0.2 <= lo + 1e-13 and hi - 1e-13 <= 0.6 <= hi
 
 
 def test_verifier_reaches_relax_and_substitute_through_the_module(

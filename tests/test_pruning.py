@@ -8,12 +8,9 @@ serves as the independent cross-check.
 
 from __future__ import annotations
 
-import importlib.util
 import itertools
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -33,9 +30,7 @@ from bntune import (
 from bntune.errors import BadOrder, CoverageUnreachable
 from bntune.oracle import infer
 from bntune.refine import partition
-from conftest import random_constraint, random_net, random_parametrization
-
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import build_layered_6x6, random_constraint, random_net, random_parametrization
 
 
 def ancestral_set(net, roots) -> set[str]:
@@ -214,22 +209,8 @@ def test_pruned_chain_matches_the_unpruned_references_on_random_nets():
 # -- the benchmark's layered net -------------------------------------------------
 
 
-def bench_layered_tables():
-    module = sys.modules.get("workloads")
-    if module is None:
-        spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
-        module = importlib.util.module_from_spec(spec)
-        sys.modules["workloads"] = module
-        spec.loader.exec_module(module)
-    return module.layered_tables
-
-
 def test_layered_6x6_tailored_chain_is_pruned():
-    variables, tables = bench_layered_tables()(6, 6, 1)
-    net = net_from_tables(variables, tables)
-    coords = (("L0_0", (), 0), ("L3_0", ("t", "t"), 0))
-    pbn = parametrize(net, coords, {coords[0]: "x", coords[1]: "y"})
-    constraint = Constraint((("L5_0", "t"),), (), "<=", Fraction(51, 100))
+    pbn, constraint = build_layered_6x6()
     chain, spec = compile_tailored(pbn, constraint)
     assert chain.n_states == 709
     assert chain.parameter_names == ("x", "y")

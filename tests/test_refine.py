@@ -8,7 +8,7 @@ import pytest
 
 from bntune import Region, compile_chain, compile_tailored
 from bntune.errors import CoverageUnreachable
-from bntune.lifting import RegionVerifier, Verdict
+from bntune.lifting import RegionVerifier, Verdict, relax
 from bntune.pmc import ReachSpec
 from bntune.refine import PartitionResult, boxes_csv, partition
 from conftest import state_index
@@ -147,9 +147,13 @@ def test_until_accepting_terminates_when_nothing_accepts(toy_chain):
 
 
 class StubVerifier:
-    """Scripted verdicts: accept left of 0.35, reject right of 0.45."""
+    """Scripted verdicts: accept left of 0.35, reject right of 0.45.
 
-    def __init__(self):
+    Like a :class:`RegionVerifier`, it carries the chain's relaxation, from
+    which ``partition`` takes the live axes."""
+
+    def __init__(self, pmc):
+        self.relaxed = relax(pmc)
         self.calls = 0
 
     def verify(self, box):
@@ -164,7 +168,7 @@ class StubVerifier:
 
 def test_injected_verifier_drives_the_partition(toy_chain):
     pmc, yes = toy_chain
-    stub = StubVerifier()
+    stub = StubVerifier(pmc)
     res = partition(pmc, toy_spec(yes), FULL, eta=Fraction(7, 10), verifier=stub)
     assert stub.calls == res.verifications
     assert res.coverage >= Fraction(7, 10)
