@@ -69,20 +69,20 @@ class BoundMDP:
 
 
 def relax(pmc: PMC) -> RelaxedPMC:
-    """Do the part of :func:`substitute` that no box changes, once.
+    """Check the chain for :func:`substitute` and share its box-independent part.
 
     Each state chooses a corner of its own parameters' intervals
     independently of the others, which relaxes a parameter shared across
-    states to one free value per state; the chain itself is kept.  Raises
-    :class:`UnboundParameter` for an undeclared parameter, :class:`TooLarge`
-    for too many parameters in one state, and :class:`NotWellFormed` for a
-    parameter-free state whose weights are not a sub-distribution.
+    states to one free value per state; the chain itself is kept.  The
+    parameter-free states' actions come from :attr:`PMC.lowered`, evaluated
+    once per chain.  Raises :class:`UnboundParameter` for an undeclared
+    parameter, :class:`TooLarge` for too many parameters in one state, and
+    :class:`NotWellFormed` for a parameter-free state whose weights are not a
+    sub-distribution.
     """
+    lowered = pmc.lowered
     names = set(pmc.parameter_names)
-    actions: list[tuple | None] = []
-    parametric = []
-    for s, out in enumerate(pmc.edges):
-        local = sorted({p for _, w in out for p in w.parameters})
+    for _, local in lowered.parametric:
         unknown = [p for p in local if p not in names]
         if unknown:
             raise UnboundParameter(f"chain uses undeclared parameter(s) {unknown}")
@@ -90,12 +90,7 @@ def relax(pmc: PMC) -> RelaxedPMC:
             raise TooLarge(
                 f"{len(local)} parameters in one state exceed the guard of {LOCAL_PARAM_GUARD}"
             )
-        if local:
-            parametric.append((s, tuple(local)))
-            actions.append(None)
-        else:
-            actions.append((_distribution(out, {}),))
-    return RelaxedPMC(pmc, tuple(actions), tuple(parametric))
+    return RelaxedPMC(pmc, lowered.actions, lowered.parametric)
 
 
 def substitute(relaxed: RelaxedPMC, region: Region) -> BoundMDP:
@@ -104,8 +99,8 @@ def substitute(relaxed: RelaxedPMC, region: Region) -> BoundMDP:
     The region must give every parameter of the chain an interval inside the
     declared one.  Each weight is its exact value at the corner, rounded
     once, as the solver's rounding bound assumes.  Only the parametric states
-    are evaluated per box; the parameter-free states share the actions that
-    :func:`relax` built.
+    are evaluated per box; the parameter-free states share the actions of
+    the chain's :attr:`PMC.lowered`, which :func:`relax` passes on.
     """
     choices: dict[str, tuple[Fraction, ...]] = {}
     for name, (dlb, dub) in relaxed.pmc.params:
@@ -124,7 +119,7 @@ def substitute(relaxed: RelaxedPMC, region: Region) -> BoundMDP:
     for s, local in relaxed.parametric:
         state_actions: dict[tuple[tuple[int, float], ...], None] = {}
         for corner in itertools.product(*(choices[name] for name in local)):
-            state_actions[_distribution(pmc.edges[s], dict(zip(local, corner)))] = None
+            state_actions[_distribution(pmc.edges[s], dict(zip(local, corner)), {})] = None
         all_actions[s] = tuple(state_actions)
     return BoundMDP(pmc.states, pmc.initial, tuple(all_actions))
 
@@ -159,18 +154,21 @@ class RegionVerifier:
     shared between calls, which matters when a partitioning loop verifies
     thousands of sibling boxes.  Sharing the level order is sound because it
     depends only on which edges the chain has, and every box's process keeps
-    exactly the chain's edges.  The constructor also collapses the states
-    that no box changes, the parameter-free ones, into affine forms over the
-    states left in the solver's pass (see :meth:`LeveledSolver.settle`), so
-    each bound walks only the chain's parametric skeleton.
+    exactly the chain's edges.  Both are taken from the chain, which builds
+    them once for all its callers (:attr:`PMC.lowered`, :meth:`PMC.solver`),
+    so a :func:`reach_prob` on the same chain, before or after, does not
+    repeat them.  The constructor collapses the states that no box changes,
+    the parameter-free ones, into affine forms over the states left in the
+    pass of its own settled copy of the chain's solver (see
+    :meth:`LeveledSolver.settle`), so each bound walks only the chain's
+    parametric skeleton.
     """
 
     def __init__(self, pmc: PMC, spec: ReachSpec):
         self.spec = spec
         self.relaxed = relax(pmc)
         self.verifications = 0
-        self.solver = LeveledSolver(pmc.states, pmc.initial, pmc.edges, spec.targets)
-        self.solver.settle(self.relaxed.actions)
+        self.solver = pmc.solver(spec.targets).settle(self.relaxed.actions)
 
     def _bound(self, mdp: BoundMDP, maximize: bool) -> float:
         """The optimum, padded outwards by the solver's rounding bound."""

@@ -12,9 +12,11 @@ variable is *barren*, sums out to one and cannot change the conditional.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .bn import BayesNet, Constraint, Instantiation, ParamBN, topological_order
@@ -52,13 +54,69 @@ class StateLabel:
 
 
 @dataclass(frozen=True)
+class Lowering:
+    """The part of a chain's point evaluation that no point changes.
+
+    ``actions[s]`` is the single checked float action of a parameter-free
+    state and ``None`` for a parametric one; ``parametric`` lists each
+    parametric state with its sorted own parameter names.
+    """
+
+    actions: tuple[tuple[tuple[tuple[int, float], ...], ...] | None, ...]
+    parametric: tuple[tuple[int, tuple[str, ...]], ...]
+
+
+@dataclass(frozen=True)
 class PMC:
-    """A Markov chain whose transition probabilities are polynomials."""
+    """A Markov chain whose transition probabilities are polynomials.
+
+    The per-chain work shared by :func:`reach_prob`, :func:`lifting.relax`,
+    :class:`lifting.RegionVerifier` and :func:`sensitivity_function` is done
+    on first use and kept on the chain: its :attr:`lowered` form, and per
+    target set the unsettled :class:`LeveledSolver` of :meth:`solver`.
+    """
 
     states: tuple[StateLabel, ...]
     initial: int
     edges: tuple[tuple[tuple[int, Polynomial], ...], ...]
     params: tuple[tuple[str, tuple[Fraction, Fraction]], ...]
+
+    @cached_property
+    def lowered(self) -> Lowering:
+        """Every parameter-free state's weights, evaluated and checked once.
+
+        A weight object that several edges share is evaluated once.  Raises
+        :class:`NotWellFormed` for a parameter-free state whose weights are
+        not a sub-distribution.
+        """
+        memo: dict[int, float] = {}
+        actions: list[tuple | None] = []
+        parametric = []
+        for s, out in enumerate(self.edges):
+            local = sorted({p for _, w in out for p in w.parameters})
+            if local:
+                parametric.append((s, tuple(local)))
+                actions.append(None)
+            else:
+                actions.append((_distribution(out, {}, memo),))
+        return Lowering(tuple(actions), tuple(parametric))
+
+    @cached_property
+    def _solvers(self) -> dict[frozenset[int], "LeveledSolver"]:
+        return {}
+
+    def solver(self, targets: Iterable[int]) -> "LeveledSolver":
+        """The chain's unsettled :class:`LeveledSolver` for ``targets``, built once.
+
+        Callers share it, so none may change it; :meth:`LeveledSolver.settle`
+        returns a new solver.
+        """
+        targets = frozenset(targets)
+        solver = self._solvers.get(targets)
+        if solver is None:
+            solver = LeveledSolver(self.states, self.initial, self.edges, targets)
+            self._solvers[targets] = solver
+        return solver
 
     @property
     def n_states(self) -> int:
@@ -156,8 +214,11 @@ class _Builder:
         return self.index[label]
 
     def add_edge(self, source: int, target: int, weight: Polynomial) -> None:
+        """Keep the entry itself on a new edge, so edges share entry objects;
+        only edges that merge are summed."""
         out = self.edges[source]
-        out[target] = out.get(target, ZERO) + weight
+        merged = out.get(target)
+        out[target] = weight if merged is None else merged + weight
 
     def build(self) -> tuple[PMC, list[int]]:
         """The chain and its leaves, the states of the last level.
@@ -286,10 +347,11 @@ class LeveledSolver:
     best T - x*E over all policies, and its sign bounds every policy's T/E
     by x.  Rounds are capped at the number of states.
 
-    :meth:`settle` collapses, once, every state that has a single fixed
-    action and no parameter into an affine form over the states that stay
-    in the pass; a round then walks only those states and expands the forms
-    that they read directly.
+    :meth:`settle` returns a solver that collapses every state that has a
+    single fixed action and no parameter into an affine form over the states
+    that stay in the pass; a round then walks only those states and expands
+    the forms that they read directly.  No method changes the solver after
+    its constructor, so one unsettled solver serves a chain's every caller.
 
     Rounding.  Let u = 2**-53, gamma_n = n*u/(1 - n*u), d the number of
     levels and k the largest out-degree.  Each weight is the exact value at
@@ -358,8 +420,8 @@ class LeveledSolver:
         #: Relative pad that makes a computed value a sound bound (see above).
         self.pad = 2 * m * 2.0**-53 / (1 - m * 2.0**-53)
 
-    def settle(self, actions) -> None:
-        """Collapse the parameter-free states into affine forms over the states of the pass.
+    def settle(self, actions) -> "LeveledSolver":
+        """A new solver whose pass keeps only the states that ``actions`` leave open.
 
         ``actions[s]`` is ``None`` for a parametric state and otherwise the
         single action that every later call passes unchanged.  Deepest level
@@ -372,7 +434,12 @@ class LeveledSolver:
         longer than the action it replaces.  A round then visits only the
         states of the pass and the collapsed states that they read directly,
         whose forms it expands; a form without coefficients is a constant.
+        This solver is left unchanged, so a chain's shared one (see
+        :meth:`PMC.solver`) can be settled by any number of callers.
         """
+        settled = copy.copy(self)
+        settled._base_t = base_t = self._base_t.copy()
+        settled._base_e = base_e = self._base_e.copy()
         initial = self.initial
         # Targets and leaves are constants; a restart reads zero.
         forms = dict.fromkeys(set(range(len(actions))).difference(self._order), ())
@@ -390,20 +457,21 @@ class LeveledSolver:
                 if form is None:  # a state of the pass
                     form = ((succ, 1.0),)
                 else:
-                    t += p * self._base_t[succ]
-                    e += p * self._base_e[succ]
+                    t += p * base_t[succ]
+                    e += p * base_e[succ]
                 for j, c in form:
                     coefficients[j] = coefficients[j] + p * c if j in coefficients else p * c
             if len(coefficients) > len(action):
                 kept.append(s)
             else:
                 forms[s] = tuple(coefficients.items())
-                self._base_t[s], self._base_e[s] = t, e
+                base_t[s], base_e[s] = t, e
         read = {succ for s in kept for succ, _ in self._edges[s]}
-        self._forms = {s: forms[s] for s in read if forms.get(s)}
-        keep = set(kept).union(self._forms)
-        self._order = [s for s in self._order if s in keep]
-        self._edges = None
+        settled._forms = {s: forms[s] for s in read if forms.get(s)}
+        keep = set(kept).union(settled._forms)
+        settled._order = [s for s in self._order if s in keep]
+        settled._edges = None
+        return settled
 
     def _round(self, actions, x: float, maximize: bool) -> tuple[float, float]:
         """T and E at the initial state under the greedy policy at ``x``."""
@@ -451,20 +519,29 @@ class LeveledSolver:
         raise NotWellFormed(f"policy iteration did not settle within {len(actions)} rounds")
 
 
-def _distribution(out, point: Mapping[str, Fraction]) -> tuple[tuple[int, float], ...]:
+def _distribution(
+    out, point: Mapping[str, Fraction], memo: dict[int, float]
+) -> tuple[tuple[int, float], ...]:
     """One state's weights at the rational ``point``, checked to form a sub-distribution.
 
     Each weight is its exact value rounded once, so a valid one is already
     in [0, 1].  The mass may exceed 1 by the rounding that constant rows of
-    parsed files keep (``bn.ROW_SUM_TOLERANCE``).  Raises :class:`NotWellFormed`.
+    parsed files keep (``bn.ROW_SUM_TOLERANCE``).  ``memo`` maps the ``id``
+    of each weight evaluated so far to its checked value; states that share
+    a weight object and a memo evaluate it once, so one memo serves one
+    point and the weights it names.  Raises :class:`NotWellFormed`.
     """
     distribution = []
     total = 0.0
     for target, weight in out:
-        value = weight.evaluate_rounded(point)
-        if not -1e-12 <= value <= 1 + 1e-12:
-            raise NotWellFormed(f"transition weight {weight} evaluates to {value} outside [0, 1]")
-        value = min(max(value, 0.0), 1.0)
+        value = memo.get(id(weight))
+        if value is None:
+            value = weight.evaluate_rounded(point)
+            if not -1e-12 <= value <= 1 + 1e-12:
+                raise NotWellFormed(
+                    f"transition weight {weight} evaluates to {value} outside [0, 1]"
+                )
+            value = memo[id(weight)] = min(max(value, 0.0), 1.0)
         distribution.append((target, value))
         total += value
     if total > 1 + 1e-7:
@@ -477,15 +554,22 @@ def reach_prob(pmc: PMC, u: Instantiation, targets: Iterable[int]) -> float:
 
     The instantiated chain is solved directly by :class:`LeveledSolver`, not
     iterated, so the result is accurate to floating point and serves as the
-    reference for the interval-based methods.  Every state's weights must
-    form a sub-distribution at ``u``, as :func:`lifting.relax` and
-    :func:`lifting.substitute` require at each corner.  Raises
+    reference for the interval-based methods.  Only the parametric states
+    are evaluated at ``u``; the parameter-free ones, and the solver's level
+    order, come from the chain's shared :attr:`PMC.lowered` and
+    :meth:`PMC.solver`, unsettled, so every state is solved in level order.
+    Every state's weights must form a sub-distribution at ``u``, as
+    :func:`lifting.substitute` requires at each corner.  Raises
     :class:`NotWellFormed` for a weight outside [0, 1], for outgoing mass
     above 1, and for a chain that is not leveled.
     """
     point = {name: _binary_fraction(v) for name, v in u.items()}
-    actions = [(_distribution(out, point),) for out in pmc.edges]
-    return LeveledSolver(pmc.states, pmc.initial, pmc.edges, targets).reach(actions)
+    lowered = pmc.lowered
+    actions = list(lowered.actions)
+    memo: dict[int, float] = {}
+    for s, _ in lowered.parametric:
+        actions[s] = (_distribution(pmc.edges[s], point, memo),)
+    return pmc.solver(targets).reach(actions)
 
 
 @dataclass(frozen=True)
@@ -509,7 +593,7 @@ class SensitivityFunction:
 def sensitivity_function(
     pmc: PMC, targets: Iterable[int], guard: int = ELIMINATION_GUARD
 ) -> SensitivityFunction:
-    """Closed form of the reachability probability, in :class:`LeveledSolver`'s order.
+    """Closed form of the reachability probability, in the level order of :meth:`PMC.solver`.
 
     One deepest-level-first pass builds, per state, the target mass T and
     the restart mass R as polynomials; the probability is T/(1 - R) at the
@@ -522,12 +606,11 @@ def sensitivity_function(
     targets = frozenset(targets)
     if pmc.initial in targets:
         return SensitivityFunction(ONE, ONE)
-    solver = LeveledSolver(pmc.states, pmc.initial, pmc.edges, targets)
     # Leaves are in neither map, so their mass counts towards neither.  The
     # initial state comes last, so its restart edges read R = 1.
     t_of = dict.fromkeys(targets, ONE)
     r_of = {pmc.initial: ONE}
-    for s in solver._order:
+    for s in pmc.solver(targets)._order:
         t = r = ZERO
         for succ, w in pmc.edges[s]:
             if succ in t_of:

@@ -182,15 +182,41 @@ def _boxed_axis(
     return min(max(lo, dlb), center), max(min(hi, dub), center)
 
 
+def _clamped(pbn: ParamBN, u0: Mapping[str, Fraction], intervals) -> Region:
+    """The candidate ``intervals``, one per declared parameter, clamped by :func:`_boxed_axis`."""
+    return Region(
+        pbn.parameter_names,
+        tuple(
+            _boxed_axis(Fraction(u0[name]), lo, hi, declared)
+            for (name, declared), (lo, hi) in zip(pbn.params, intervals)
+        ),
+    )
+
+
+def _ec_intervals(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float):
+    """The unclamped intervals of :func:`expand_region_ec`."""
+    halfwidth = _binary_fraction(epsilon / math.sqrt(max(len(pbn.params), 1)))
+    centers = [Fraction(u0[name]) for name in pbn.parameter_names]
+    return [(center - halfwidth, center + halfwidth) for center in centers]
+
+
 def expand_region_ec(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -> Region:
     """The largest axis-aligned box around ``u0`` with Euclidean radius ``epsilon``,
     clamped to the declared intervals."""
-    halfwidth = _binary_fraction(epsilon / math.sqrt(max(len(pbn.params), 1)))
+    return _clamped(pbn, u0, _ec_intervals(pbn, u0, epsilon))
+
+
+def _cd_intervals(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float):
+    """The unclamped intervals of :func:`expand_region_cd`."""
+    _single_tuned_cpt(pbn)  # reject multi-table parameter sets up front
+    alpha = math.exp(float(epsilon) / 2.0)
     intervals = []
-    for name, declared in pbn.params:
-        center = Fraction(u0[name])
-        intervals.append(_boxed_axis(center, center - halfwidth, center + halfwidth, declared))
-    return Region(pbn.parameter_names, tuple(intervals))
+    for name in pbn.parameter_names:
+        c = float(u0[name])
+        lo = _binary_fraction(max(c / alpha, 1.0 - (1.0 - c) * alpha))
+        hi = _binary_fraction(min(c * alpha, 1.0 - (1.0 - c) / alpha))
+        intervals.append((lo, hi))
+    return intervals
 
 
 def expand_region_cd(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -> Region:
@@ -204,20 +230,12 @@ def expand_region_cd(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -
     ``[1/a, a]`` (co-varied entries scale with ``(1-x)/(1-x0)``), so the
     distance over the whole box stays at most ``epsilon``.
     """
-    _single_tuned_cpt(pbn)  # reject multi-table parameter sets up front
-    alpha = math.exp(float(epsilon) / 2.0)
-    intervals = []
-    for name, declared in pbn.params:
-        center = Fraction(u0[name])
-        c = float(center)
-        lo = _binary_fraction(max(c / alpha, 1.0 - (1.0 - c) * alpha))
-        hi = _binary_fraction(min(c * alpha, 1.0 - (1.0 - c) / alpha))
-        intervals.append(_boxed_axis(center, lo, hi, declared))
-    return Region(pbn.parameter_names, tuple(intervals))
+    return _clamped(pbn, u0, _cd_intervals(pbn, u0, epsilon))
 
 
-#: Per distance measure: the distance itself and the candidate box of a radius.
-_MEASURES = {"ec": (distance_ec, expand_region_ec), "cd": (distance_cd, expand_region_cd)}
+#: Per distance measure: the distance itself and the unclamped candidate
+#: intervals of a radius.
+_MEASURES = {"ec": (distance_ec, _ec_intervals), "cd": (distance_cd, _cd_intervals)}
 
 
 def _measure(measure: str):
@@ -272,6 +290,11 @@ def tune(
     Otherwise candidate boxes grow along the geometric schedule: the first
     ``max_iters - 1`` are built around the original values by the measure's
     expander, and the last is the declared box itself, at radius ``d0``.
+    A step whose box, before clamping, misses a declared interval is skipped:
+    that box holds no declared point, and clamping would only collapse it
+    onto the declared box's edge.  So every answer lies within
+    its ``epsilon_final`` of the original values, up to the float rounding
+    of the box's ends.
     Each box is partitioned until an accepting part turns up or the box is
     proven fully rejecting, so even accepting slivers far below the coverage
     allowance are found.  The first box with accepting volume yields the
@@ -282,7 +305,7 @@ def tune(
     so far.  Raises :class:`ValueError` for an unknown ``measure``.
     """
     d0 = d0_upper(pbn, measure)
-    _, expand = _measure(measure)
+    _, candidate = _measure(measure)
     u0 = pbn.origin_instantiation()
     chain, spec = compile_tailored(pbn, constraint, order=order)
     p0 = reach_prob(chain, u0, spec.targets)
@@ -291,12 +314,21 @@ def tune(
 
     gamma = float(hyper.gamma)
     radii = [d0 * gamma ** (hyper.max_iters - i) for i in range(1, hyper.max_iters + 1)]
-    boxes = [expand(pbn, u0, epsilon) for epsilon in radii[:-1]] + [pbn.space()]
+    steps = []
+    for epsilon in radii[:-1]:
+        intervals = candidate(pbn, u0, epsilon)
+        # A candidate that misses a declared interval holds no declared
+        # point; clamping would collapse it onto the declared box's edge,
+        # beyond its radius.  One that meets them all clamps to its meet
+        # with the declared box, a sub-box of itself.
+        if all(lo <= dub and dlb <= hi for (lo, hi), (_, (dlb, dub)) in zip(intervals, pbn.params)):
+            steps.append((epsilon, _clamped(pbn, u0, intervals)))
+    steps.append((radii[-1], pbn.space()))
     # Through the module attribute, so that a substituted verifier class
     # (the benchmark's traced one) is the one built.
     verifier = refine.RegionVerifier(chain, spec)
     stats: list[IterationStats] = []
-    for epsilon, region in zip(radii, boxes):
+    for epsilon, region in steps:
         try:
             result = partition(
                 chain,

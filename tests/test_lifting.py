@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -524,6 +525,100 @@ def test_fan_out_state_stays_in_the_pass():
     assert sorted(verifier.solver._forms) == [2, 3]
     lo, hi = verifier.bounds(box)
     assert lo <= 0.2 <= lo + 1e-13 and hi - 1e-13 <= 0.6 <= hi
+
+
+# -- one lowering per chain ---------------------------------------------------
+
+
+def test_layered_6x6_lowers_each_weight_once(monkeypatch):
+    # reach_prob and a verifier on one chain share its lowering and its
+    # unsettled solver: a constant weight object is evaluated once, and a
+    # parametric one once per point that reach_prob is given.
+    pbn, constraint = build_layered_6x6()
+    pmc, spec = compile_tailored(pbn, constraint)
+    entries = {id(e): e for cpt in pbn.cpts for _, row in cpt.rows for e in row}
+    # Without evidence there are no restarts: every edge but a leaf's loop
+    # is a forward edge.
+    leaves = {s for s, out in enumerate(pmc.edges) if out == ((s, ONE),)}
+    for s, out in enumerate(pmc.edges):
+        if s not in leaves:
+            assert all(entries[id(w)] is w for _, w in out)
+
+    calls = Counter()
+    evaluate_rounded = Polynomial.evaluate_rounded
+    solver_init = LeveledSolver.__init__
+    structures = []
+
+    def counting(self, u):
+        calls[id(self)] += 1
+        return evaluate_rounded(self, u)
+
+    def recording(self, *args):
+        structures.append(self)
+        solver_init(self, *args)
+
+    monkeypatch.setattr(Polynomial, "evaluate_rounded", counting)
+    monkeypatch.setattr(LeveledSolver, "__init__", recording)
+    parametric = {s for s, out in enumerate(pmc.edges) if any(w.parameters for _, w in out)}
+    constant = [w for s, out in enumerate(pmc.edges) if s not in parametric for _, w in out]
+    constant_ids = {id(w) for w in constant}
+    parametric_ids = {id(w) for s in parametric for _, w in pmc.edges[s]}
+    assert len(constant_ids) < len(constant) // 4  # edges share their entries
+    per_point = Counter(parametric_ids)
+
+    u0 = pbn.origin_instantiation()
+    p0 = reach_prob(pmc, u0, spec.targets)
+    assert calls == Counter(constant_ids) + per_point
+    verifier = RegionVerifier(pmc, spec)
+    assert calls == Counter(constant_ids) + per_point
+    assert reach_prob(pmc, pbn.space().center(), spec.targets) != p0
+    assert calls == Counter(constant_ids) + per_point + per_point
+    sensitivity_function(pmc, spec.targets)
+    # One structural pass for the chain and its target set; the verifier
+    # settled a copy and left the shared structure as it was.
+    assert structures == [pmc.solver(spec.targets)]
+    assert verifier.solver is not structures[0]
+    assert structures[0]._edges is pmc.edges and not structures[0]._forms
+    assert len(structures[0]._order) == 707 and len(verifier.solver._order) == 5
+
+
+def _chain_results(pmc, spec, box, points, order):
+    """reach_prob at ``points`` and the verifier's bounds on ``box``, computed on
+    ``pmc`` in the given ``order`` of the three per-chain callers."""
+    results = {}
+    for step in order:
+        if step == "reach":
+            results["reach"] = [reach_prob(pmc, u, spec.targets) for u in points]
+        elif step == "verifier":
+            results["bounds"] = RegionVerifier(pmc, spec).bounds(box)
+        else:
+            sensitivity_function(pmc, spec.targets)
+    return results
+
+
+def test_shared_lowering_is_independent_of_the_call_order():
+    orders = [
+        ("reach", "verifier"),
+        ("verifier", "reach"),
+        ("sensitivity", "verifier", "reach"),
+        ("reach", "sensitivity", "verifier"),
+    ]
+    for seed in range(40):
+        rng = random.Random(seed)
+        net = random_net(rng)
+        pbn = random_parametrization(rng, net)
+        constraint = random_constraint(rng, net)
+        box = random_box(rng, pbn)
+        points = [pbn.origin_instantiation(), box.center()]
+        # Each reference value comes from a chain of its own.
+        fresh = {"reach": []}
+        for u in points:
+            pmc, spec = compile_tailored(pbn, constraint)
+            fresh["reach"].append(reach_prob(pmc, u, spec.targets))
+        fresh["bounds"] = RegionVerifier(*compile_tailored(pbn, constraint)).bounds(box)
+        for order in orders:
+            pmc, spec = compile_tailored(pbn, constraint)
+            assert _chain_results(pmc, spec, box, points, order) == fresh, (seed, order)
 
 
 def test_verifier_reaches_relax_and_substitute_through_the_module(

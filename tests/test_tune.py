@@ -414,7 +414,9 @@ def test_tune_infeasible_under_cd(covid_net):
 
 def test_tune_with_the_origin_outside_its_interval(covid_net):
     # p's original value 0.72 lies above its declared interval [0.1, 0.2], so
-    # every candidate box clamps its centre to 0.2 and stays declared.
+    # every candidate box clamps its centre to 0.2 and stays declared.  Every
+    # schedule step before the last misses [0.1, 0.2] and is skipped: clamped,
+    # it would hold points farther away than its radius.
     params = """
         param p { entry: Antigen(yes, yes): pos; interval: 0.1, 0.2; }
         param q { entry: PCR(yes): pos; }
@@ -425,6 +427,15 @@ def test_tune_with_the_origin_outside_its_interval(covid_net):
     result = tune(pbn, raised)
     assert result.status is Status.TUNED
     assert result.instantiation == {"p": Fraction(1, 5), "q": Fraction(19, 20)}
+    assert result.distance == pytest.approx(0.52)
+    assert result.distance <= result.epsilon_final == d0_upper(pbn)
+    assert [it.region for it in result.iterations] == [pbn.space()]
+    # With [0.1, 0.65] the first two steps miss and the next two run.
+    wider = parse_param_spec(params.replace("0.1, 0.2", "0.1, 0.65"), covid_net)
+    result = tune(wider, raised)
+    assert result.status is Status.TUNED
+    assert len(result.iterations) == 2
+    assert result.distance <= result.epsilon_final < d0_upper(wider)
     lowered = Constraint((("COVID-19", "no"),), evidence, "<=", Fraction(9, 1000))
     result = tune(pbn, lowered)
     assert result.status is Status.INFEASIBLE
