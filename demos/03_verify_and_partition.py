@@ -1,9 +1,9 @@
 """Soundly verify parameter boxes and partition the parameter space.
 
-A box of parameter values is checked by relaxing the chain (each state gets
-its own copy of the parameters) and substituting extremal values, giving an
-MDP whose min/max reachability brackets the true probability everywhere in
-the box.  Splitting inconclusive boxes classifies the space up to a chosen
+A box of parameter values is checked by relaxing the chain (each state picks
+its own corner of the box, independently of the other states) and
+substituting those corners, giving an MDP whose min/max reachability
+brackets the true probability everywhere in the box.  Splitting inconclusive boxes classifies the space up to a chosen
 coverage factor.
 """
 

@@ -157,18 +157,16 @@ class RegionVerifier:
     exactly the chain's edges.  Both are taken from the chain, which builds
     them once for all its callers (:attr:`PMC.lowered`, :meth:`PMC.solver`),
     so a :func:`reach_prob` on the same chain, before or after, does not
-    repeat them.  The constructor collapses the states that no box changes,
-    the parameter-free ones, into affine forms over the states left in the
-    pass of its own settled copy of the chain's solver (see
-    :meth:`LeveledSolver.settle`), so each bound walks only the chain's
-    parametric skeleton.
+    repeat them.  The chain's solver has collapsed the states that no box
+    changes, the parameter-free ones, into affine forms, so each bound walks
+    only the chain's parametric skeleton.
     """
 
     def __init__(self, pmc: PMC, spec: ReachSpec):
         self.spec = spec
         self.relaxed = relax(pmc)
         self.verifications = 0
-        self.solver = pmc.solver(spec.targets).settle(self.relaxed.actions)
+        self.solver = pmc.solver(spec.targets)
 
     def _bound(self, mdp: BoundMDP, maximize: bool) -> float:
         """The optimum, padded outwards by the solver's rounding bound."""

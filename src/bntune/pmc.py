@@ -12,7 +12,6 @@ variable is *barren*, sums out to one and cannot change the conditional.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,7 +72,7 @@ class PMC:
     The per-chain work shared by :func:`reach_prob`, :func:`lifting.relax`,
     :class:`lifting.RegionVerifier` and :func:`sensitivity_function` is done
     on first use and kept on the chain: its :attr:`lowered` form, and per
-    target set the unsettled :class:`LeveledSolver` of :meth:`solver`.
+    target set the one collapsed :class:`LeveledSolver` of :meth:`solver`.
     """
 
     states: tuple[StateLabel, ...]
@@ -106,15 +105,18 @@ class PMC:
         return {}
 
     def solver(self, targets: Iterable[int]) -> "LeveledSolver":
-        """The chain's unsettled :class:`LeveledSolver` for ``targets``, built once.
+        """The chain's :class:`LeveledSolver` for ``targets``, built once.
 
-        Callers share it, so none may change it; :meth:`LeveledSolver.settle`
-        returns a new solver.
+        It collapses the parameter-free states with the actions of
+        :attr:`lowered`, so it raises :class:`NotWellFormed` where that does.
+        Callers share it; no method changes it.
         """
         targets = frozenset(targets)
         solver = self._solvers.get(targets)
         if solver is None:
-            solver = LeveledSolver(self.states, self.initial, self.edges, targets)
+            solver = LeveledSolver(
+                self.states, self.initial, self.edges, targets, self.lowered.actions
+            )
             self._solvers[targets] = solver
         return solver
 
@@ -129,9 +131,6 @@ class PMC:
     @property
     def parameter_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.params)
-
-    def successors(self, state: int) -> tuple[tuple[int, Polynomial], ...]:
-        return self.edges[state]
 
 
 @dataclass(frozen=True)
@@ -347,11 +346,22 @@ class LeveledSolver:
     best T - x*E over all policies, and its sign bounds every policy's T/E
     by x.  Rounds are capped at the number of states.
 
-    :meth:`settle` returns a solver that collapses every state that has a
-    single fixed action and no parameter into an affine form over the states
-    that stay in the pass; a round then walks only those states and expands
-    the forms that they read directly.  No method changes the solver after
-    its constructor, so one unsettled solver serves a chain's every caller.
+    Given ``actions``, the constructor also collapses every state that has
+    a single fixed action and no parameter into an affine form over the
+    states that stay in the pass; a round then walks only those states and
+    expands the forms that they read directly.  ``actions[s]`` is ``None``
+    for a parametric state and otherwise the single action that every later
+    call passes unchanged.  Deepest level first, each parameter-free state
+    other than the initial one gets the form (T, E) = (T0, E0) + sum_j
+    c_j*(T_j, E_j): T0 and E0 collect the mass of its paths into targets and
+    leaves (a restart reads zero), c_j that of its paths into the state j of
+    the pass.  A state stays in the pass when it is parametric, is the
+    initial state, or would get more coefficients than its action has
+    successors, so no form is longer than the action it replaces.  A form
+    without coefficients is a constant.  Without ``actions`` every state
+    stays in the pass.  :attr:`order` keeps every state in level order
+    either way.  No method changes the solver after its constructor, so one
+    solver serves a chain's every caller (see :meth:`PMC.solver`).
 
     Rounding.  Let u = 2**-53, gamma_n = n*u/(1 - n*u), d the number of
     levels and k the largest out-degree.  Each weight is the exact value at
@@ -360,8 +370,8 @@ class LeveledSolver:
     computed T (or E) is a sum over the paths that the exact T counts of
     each path's exact weight product times one factor (1 + delta), |delta|
     <= u, per rounding that the path's term went through.  Summing a state's
-    action, in a round or into a form's constant or coefficients in
-    :meth:`settle`, costs a term at most k + 1 roundings per edge: the
+    action, in a round or into a form's constant or coefficients in the
+    constructor, costs a term at most k + 1 roundings per edge: the
     weight's, one product, and at most k - 1 additions, since each successor
     adds at most one summand to any one sum.  A round expands a form only
     where a state of the pass reads it, so at most once per edge of a path,
@@ -370,14 +380,15 @@ class LeveledSolver:
     path has at most d edges, so T and E at the initial state are each
     within gamma_n of the exact T and E of the chosen policy, n = 2d(k+1),
     and T/E, with its one division, within gamma_m for m = 2n + 1, as
-    (1 + gamma_n)/(1 - gamma_n) = 1 + gamma_{2n}.  :attr:`pad` is 2*gamma_m:
-    the factor 2 covers turning that into a bound on the exact value, which
-    divides by 1 - gamma_m, and the two roundings of the multiplication that
-    applies the pad.  Policy iteration compares gains in floating point, so
-    two policies whose gains agree to within their rounding may be ranked
-    either way.  The pad does not cover that case; it moves x by at most
-    about d*m*u*E_max/E, where E is the ending mass of the policy passed
-    over and E_max the largest ending mass of any policy.
+    (1 + gamma_n)/(1 - gamma_n) = 1 + gamma_{2n}.  So :meth:`reach` is
+    within gamma_m of the exact value, relative to it.  :attr:`pad` is
+    2*gamma_m: the factor 2 covers turning that into a bound on the exact
+    value, which divides by 1 - gamma_m, and the two roundings of the
+    multiplication that applies the pad.  Policy iteration compares gains
+    in floating point, so two policies whose gains agree to within their
+    rounding may be ranked either way.  The pad does not cover that case; it
+    moves x by at most about d*m*u*E_max/E, where E is the ending mass of
+    the policy passed over and E_max the largest ending mass of any policy.
     """
 
     def __init__(
@@ -386,22 +397,21 @@ class LeveledSolver:
         initial: int,
         edges: Sequence[Sequence[tuple[int, object]]],
         targets: Iterable[int],
+        actions=None,
     ):
         targets = frozenset(targets)
         levels = [state.level for state in states]
         self.initial = initial
-        self._edges = edges
-        self._forms: dict[int, tuple[tuple[int, float], ...]] = {}
-        self._base_t = [0.0] * len(states)
-        self._base_e = [0.0] * len(states)
-        self._order: list[int] = []
+        self._base_t = base_t = [0.0] * len(states)
+        self._base_e = base_e = [0.0] * len(states)
+        order: list[int] = []
         degree = 0
         for s, out in enumerate(edges):
             degree = max(degree, len(out))
             if s in targets:
-                self._base_t[s] = self._base_e[s] = 1.0
+                base_t[s] = base_e[s] = 1.0
             elif s != initial and all(t == s for t, _ in out):
-                self._base_e[s] = 1.0  # a leaf: the mass ends here
+                base_e[s] = 1.0  # a leaf: the mass ends here
             else:
                 for t, _ in out:
                     if t != initial and levels[t] != levels[s] + 1:
@@ -410,42 +420,26 @@ class LeveledSolver:
                             f"{levels[t]}; leveled chains only step one level down or restart"
                         )
                 if s != initial:
-                    self._order.append(s)
+                    order.append(s)
         # Deepest level first; the initial state last, so that its restart
         # edges still read the zero T and E of a restart.
-        self._order.sort(key=levels.__getitem__, reverse=True)
+        order.sort(key=levels.__getitem__, reverse=True)
         if initial not in targets:
-            self._order.append(initial)
+            order.append(initial)
+        #: Every state that a pass without forms visits, deepest level first.
+        self.order = tuple(order)
         m = 4 * len(set(levels)) * (degree + 1) + 1
         #: Relative pad that makes a computed value a sound bound (see above).
         self.pad = 2 * m * 2.0**-53 / (1 - m * 2.0**-53)
-
-    def settle(self, actions) -> "LeveledSolver":
-        """A new solver whose pass keeps only the states that ``actions`` leave open.
-
-        ``actions[s]`` is ``None`` for a parametric state and otherwise the
-        single action that every later call passes unchanged.  Deepest level
-        first, each parameter-free state other than the initial one gets the
-        form (T, E) = (T0, E0) + sum_j c_j*(T_j, E_j): T0 and E0 collect the
-        mass of its paths into targets and leaves (a restart reads zero), c_j
-        that of its paths into the state j of the pass.  A state stays in
-        the pass when it is parametric, is the initial state, or would get
-        more coefficients than its action has successors, so no form is
-        longer than the action it replaces.  A round then visits only the
-        states of the pass and the collapsed states that they read directly,
-        whose forms it expands; a form without coefficients is a constant.
-        This solver is left unchanged, so a chain's shared one (see
-        :meth:`PMC.solver`) can be settled by any number of callers.
-        """
-        settled = copy.copy(self)
-        settled._base_t = base_t = self._base_t.copy()
-        settled._base_e = base_e = self._base_e.copy()
-        initial = self.initial
+        self._forms: dict[int, tuple[tuple[int, float], ...]] = {}
+        self._pass = order
+        if actions is None:
+            return
         # Targets and leaves are constants; a restart reads zero.
-        forms = dict.fromkeys(set(range(len(actions))).difference(self._order), ())
+        forms = dict.fromkeys(set(range(len(states))).difference(order), ())
         forms[initial] = ()
         kept = []
-        for s in self._order:  # successors come first, being one level deeper
+        for s in order:  # successors come first, being one level deeper
             if s == initial or actions[s] is None:
                 kept.append(s)
                 continue
@@ -466,19 +460,17 @@ class LeveledSolver:
             else:
                 forms[s] = tuple(coefficients.items())
                 base_t[s], base_e[s] = t, e
-        read = {succ for s in kept for succ, _ in self._edges[s]}
-        settled._forms = {s: forms[s] for s in read if forms.get(s)}
-        keep = set(kept).union(settled._forms)
-        settled._order = [s for s in self._order if s in keep]
-        settled._edges = None
-        return settled
+        read = {succ for s in kept for succ, _ in edges[s]}
+        self._forms = {s: forms[s] for s in read if forms.get(s)}
+        keep = set(kept).union(self._forms)
+        self._pass = [s for s in order if s in keep]
 
     def _round(self, actions, x: float, maximize: bool) -> tuple[float, float]:
         """T and E at the initial state under the greedy policy at ``x``."""
         t_of = self._base_t.copy()
         e_of = self._base_e.copy()
         forms = self._forms
-        for s in self._order:
+        for s in self._pass:
             form = forms.get(s)
             if form is not None:
                 t, e = t_of[s], e_of[s]
@@ -553,12 +545,11 @@ def reach_prob(pmc: PMC, u: Instantiation, targets: Iterable[int]) -> float:
     """Exact probability of reaching ``targets`` from the initial state at ``u``.
 
     The instantiated chain is solved directly by :class:`LeveledSolver`, not
-    iterated, so the result is accurate to floating point and serves as the
-    reference for the interval-based methods.  Only the parametric states
-    are evaluated at ``u``; the parameter-free ones, and the solver's level
-    order, come from the chain's shared :attr:`PMC.lowered` and
-    :meth:`PMC.solver`, unsettled, so every state is solved in level order.
-    Every state's weights must form a sub-distribution at ``u``, as
+    iterated, so the result is within the solver's rounding bound of the
+    exact value.  Only the parametric states are evaluated at ``u``; the
+    parameter-free ones are the chain's shared :meth:`PMC.solver` collapsed
+    into affine forms, the solver that also bounds boxes.  Every state's
+    weights must form a sub-distribution at ``u``, as
     :func:`lifting.substitute` requires at each corner.  Raises
     :class:`NotWellFormed` for a weight outside [0, 1], for outgoing mass
     above 1, and for a chain that is not leveled.
@@ -595,22 +586,25 @@ def sensitivity_function(
 ) -> SensitivityFunction:
     """Closed form of the reachability probability, in the level order of :meth:`PMC.solver`.
 
-    One deepest-level-first pass builds, per state, the target mass T and
-    the restart mass R as polynomials; the probability is T/(1 - R) at the
-    initial state.  Numerator and denominator are normalized to coprime
-    integer coefficients.  Raises :class:`NotWellFormed` for a chain that is
-    not leveled.
+    One deepest-level-first pass over :attr:`LeveledSolver.order` builds,
+    per state, the target mass T and the restart mass R as polynomials; the
+    probability is T/(1 - R) at the initial state.  Numerator and
+    denominator are normalized to coprime integer coefficients.  Raises
+    :class:`NotWellFormed` for a chain that is not leveled, and, as the
+    solver evaluates :attr:`PMC.lowered`, for a parameter-free state whose
+    weights are not a sub-distribution.
     """
     if pmc.n_states > guard:
         raise TooLarge(f"{pmc.n_states} states exceed the elimination guard of {guard}")
     targets = frozenset(targets)
+    order = pmc.solver(targets).order
     if pmc.initial in targets:
         return SensitivityFunction(ONE, ONE)
     # Leaves are in neither map, so their mass counts towards neither.  The
     # initial state comes last, so its restart edges read R = 1.
     t_of = dict.fromkeys(targets, ONE)
     r_of = {pmc.initial: ONE}
-    for s in pmc.solver(targets)._order:
+    for s in order:
         t = r = ZERO
         for succ, w in pmc.edges[s]:
             if succ in t_of:

@@ -154,7 +154,7 @@ def state_index(pmc, level, assignment, hypothesis=None) -> int:
 
 
 def edge_map(pmc, source):
-    return {target: poly for target, poly in pmc.successors(source)}
+    return {target: poly for target, poly in pmc.edges[source]}
 
 
 def _positive_row(rng: random.Random, width: int) -> tuple[Fraction, ...]:

@@ -191,6 +191,10 @@ def test_constant_weight_error_comes_from_relax_and_the_constructor():
         relax(pmc)
     with pytest.raises(NotWellFormed):
         RegionVerifier(pmc, ReachSpec(frozenset({3}), "<=", Fraction(1, 2)))
+    # The chain's solver collapses the lowering, so the closed form checks
+    # it too.
+    with pytest.raises(NotWellFormed):
+        sensitivity_function(pmc, {3})
     # Each weight of the row (3/4, 3/4) is within [0, 1], but its mass is
     # not; reach_prob checks a point with the same test as relax.
     three_quarters = C(Fraction(3, 4))
@@ -453,7 +457,7 @@ def multiply_adds(solver: LeveledSolver, actions) -> int:
     """Multiply-adds of one round: a form's coefficients, or every pair of every action."""
     return sum(
         len(solver._forms[s]) if s in solver._forms else sum(map(len, actions[s]))
-        for s in solver._order
+        for s in solver._pass
     )
 
 
@@ -462,8 +466,8 @@ def assert_no_more_work_than_the_whole_pass(pmc: PMC, spec: ReachSpec, box: Regi
     whole = LeveledSolver(pmc.states, pmc.initial, pmc.edges, spec.targets)
     actions = substitute(verifier.relaxed, box).actions
     assert multiply_adds(verifier.solver, actions) <= multiply_adds(whole, actions)
-    assert {s for s, _ in verifier.relaxed.parametric} <= set(verifier.solver._order)
-    assert verifier.solver._order[-1] == pmc.initial
+    assert {s for s, _ in verifier.relaxed.parametric} <= set(verifier.solver._pass)
+    assert verifier.solver._pass[-1] == pmc.initial
     return verifier
 
 
@@ -474,7 +478,7 @@ def test_layered_6x6_pass_is_its_parametric_skeleton():
     pmc, spec = compile_tailored(pbn, constraint)
     verifier = assert_no_more_work_than_the_whole_pass(pmc, spec, pbn.space())
     assert len(verifier.relaxed.parametric) == 3
-    assert len(verifier.solver._order) == 5
+    assert len(verifier.solver._pass) == 5
     assert sorted(map(len, verifier.solver._forms.values())) == [2, 2]
 
 
@@ -521,7 +525,7 @@ def test_fan_out_state_stays_in_the_pass():
     spec = ReachSpec(frozenset({8}), "<=", Fraction(1, 2))
     box = toy_box("1/5", "3/5")
     verifier = assert_no_more_work_than_the_whole_pass(pmc, spec, box)
-    assert 1 in verifier.solver._order and 1 not in verifier.solver._forms
+    assert 1 in verifier.solver._pass and 1 not in verifier.solver._forms
     assert sorted(verifier.solver._forms) == [2, 3]
     lo, hi = verifier.bounds(box)
     assert lo <= 0.2 <= lo + 1e-13 and hi - 1e-13 <= 0.6 <= hi
@@ -531,9 +535,9 @@ def test_fan_out_state_stays_in_the_pass():
 
 
 def test_layered_6x6_lowers_each_weight_once(monkeypatch):
-    # reach_prob and a verifier on one chain share its lowering and its
-    # unsettled solver: a constant weight object is evaluated once, and a
-    # parametric one once per point that reach_prob is given.
+    # reach_prob, two verifiers and sensitivity_function on one chain share
+    # its lowering and its one solver: a constant weight object is evaluated
+    # once, and a parametric one once per point that reach_prob is given.
     pbn, constraint = build_layered_6x6()
     pmc, spec = compile_tailored(pbn, constraint)
     entries = {id(e): e for cpt in pbn.cpts for _, row in cpt.rows for e in row}
@@ -574,12 +578,12 @@ def test_layered_6x6_lowers_each_weight_once(monkeypatch):
     assert reach_prob(pmc, pbn.space().center(), spec.targets) != p0
     assert calls == Counter(constant_ids) + per_point + per_point
     sensitivity_function(pmc, spec.targets)
-    # One structural pass for the chain and its target set; the verifier
-    # settled a copy and left the shared structure as it was.
+    other = RegionVerifier(pmc, spec)
+    # One solver for the chain and its target set, collapsed once: every
+    # caller walks the same 5 states of its pass.
     assert structures == [pmc.solver(spec.targets)]
-    assert verifier.solver is not structures[0]
-    assert structures[0]._edges is pmc.edges and not structures[0]._forms
-    assert len(structures[0]._order) == 707 and len(verifier.solver._order) == 5
+    assert verifier.solver is structures[0] and other.solver is structures[0]
+    assert len(structures[0].order) == 707 and len(structures[0]._pass) == 5
 
 
 def _chain_results(pmc, spec, box, points, order):

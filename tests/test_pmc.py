@@ -26,7 +26,15 @@ from bntune import (
 )
 from bntune.errors import BadOrder, EvidenceImpossible, NotWellFormed, TooLarge
 from bntune.oracle import infer, joint_table
-from conftest import build_covid_pbn, covid_posterior, edge_map, state_index
+from conftest import (
+    build_covid_pbn,
+    covid_posterior,
+    edge_map,
+    random_constraint,
+    random_net,
+    random_parametrization,
+    state_index,
+)
 
 P = Polynomial.parameter("p")
 Q = Polynomial.parameter("q")
@@ -67,14 +75,14 @@ def test_leaves_are_absorbing(tailored):
     pmc, _ = tailored
     for i, label in enumerate(pmc.states):
         if label.level == 4:
-            assert pmc.successors(i) == ((i, ONE),)
+            assert pmc.edges[i] == ((i, ONE),)
 
 
 def test_rows_stay_symbolically_stochastic(covid_pbn, tailored):
     for pmc in (compile_chain(covid_pbn), tailored[0]):
         for i in range(pmc.n_states):
             total = Polynomial.constant(0)
-            for _, poly in pmc.successors(i):
+            for _, poly in pmc.edges[i]:
                 total = total + poly
             assert total == ONE
 
@@ -85,7 +93,7 @@ def test_single_binary_node_chain():
     pmc = compile_chain(pbn)
     assert pmc.n_states == 3
     weights = sorted(
-        poly.constant_value() for _, poly in pmc.successors(pmc.initial)
+        poly.constant_value() for _, poly in pmc.edges[pmc.initial]
     )
     assert weights == [Fraction(3, 10), Fraction(7, 10)]
 
@@ -161,6 +169,26 @@ def test_reach_is_within_rounding_of_the_closed_form(tailored):
         exact = form.evaluate(u)
         got = reach_prob(pmc, u, spec.targets)
         assert abs(Fraction(got) - exact) <= Fraction(1, 10**14) * exact
+    # On random nets with evidence, reach goes through the collapsed forms
+    # and stays within the solver's pad of the exact value.
+    collapsed = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        net = random_net(rng)
+        pbn = random_parametrization(rng, net)
+        pmc, spec = compile_tailored(pbn, random_constraint(rng, net))
+        solver = pmc.solver(spec.targets)
+        collapsed += bool(solver._forms)
+        form = sensitivity_function(pmc, spec.targets)
+        for _ in range(3):
+            u = {}
+            for name in pbn.parameter_names:
+                lo, hi = pbn.interval(name)
+                u[name] = lo + (hi - lo) * Fraction(rng.randint(1, 999), 1000)
+            exact = form.evaluate(u)
+            got = reach_prob(pmc, u, spec.targets)
+            assert abs(Fraction(got) - exact) <= Fraction(solver.pad) * exact, seed
+    assert collapsed >= 20
 
 
 def test_reach_agrees_with_enumeration(tailored, covid_pbn, covid_constraint):
