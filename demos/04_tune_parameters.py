@@ -1,7 +1,7 @@
 """Tune the two test sensitivities until the residual risk is acceptable.
 
-The search expands a candidate box around the original values with
-geometrically growing radius, partitions it into accepting and rejecting
+The search expands a candidate box around the original values, doubling its
+radius from d0/32 up to d0, partitions it into accepting and rejecting
 sub-boxes, and projects the original values onto the accepting ones; the
 first radius that yields an accepting box determines the answer.  The result
 comes with a verified instantiation and its distance from the original
@@ -40,10 +40,10 @@ def main() -> None:
             f"{it.accepting}/{it.rejecting}/{it.unknown}"
         )
 
-    # A quicker, coarser run: fewer radii and a lower coverage factor.
-    quick = tune(pbn, constraint, hyper=Hyper(eta=Fraction(9, 10), max_iters=4))
+    # A quicker, coarser run: a lower coverage factor.
+    quick = tune(pbn, constraint, hyper=Hyper(eta=Fraction(9, 10)))
     print(
-        f"\ncoarser search (coverage factor 0.9, 4 radii): distance {quick.distance:.6f}, "
+        f"\ncoarser search (coverage factor 0.9): distance {quick.distance:.6f}, "
         f"probability {quick.probability:.6f}"
     )
 

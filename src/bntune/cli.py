@@ -29,7 +29,7 @@ from .formats import float17, parse_constraint, parse_network, parse_param_spec
 from .lifting import RegionVerifier, Verdict
 from .pmc import compile_chain, compile_tailored, reach_prob, sensitivity_function, to_dot
 from .poly import as_fraction
-from .refine import boxes_csv, partition
+from .refine import DEFAULT_ETA, boxes_csv, partition
 from .tune import Hyper, Status, TuneResult, tune
 
 # -- JSON rendering (17-significant-digit floats, fixed key order) -------------
@@ -180,7 +180,7 @@ def _cmd_partition(args) -> tuple[dict, int]:
     chain, spec = compile_tailored(pbn, constraint, order=_order(args))
     status, code = "ok", 0
     try:
-        result = partition(chain, spec, pbn.space(), as_fraction(args.eta))
+        result = partition(chain, spec, pbn.space(), args.eta)
     except CoverageUnreachable as exc:
         result = exc.partial
         status, code = "coverage_unreachable", 3
@@ -246,11 +246,7 @@ def _cmd_tune(args) -> tuple[dict, int]:
     net = _load_net(args)
     pbn = _require(_load_pbn(args, net), "-p/--params")
     constraint = _require(_load_constraint(args, pbn), "-c/--constraint")
-    hyper = Hyper(
-        eta=as_fraction(args.eta),
-        gamma=as_fraction(args.gamma),
-        max_iters=args.max_iters,
-    )
+    hyper = Hyper(eta=as_fraction(args.eta))
     result = tune(pbn, constraint, measure=args.distance, hyper=hyper, order=_order(args))
     return _tune_payload(result), _EXIT_BY_STATUS[result.status]
 
@@ -288,6 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     with_constraint.add_argument(
         "-c", "--constraint", help="constraint, e.g. 'P(A=yes | B=no) <= 0.01'"
     )
+    with_eta = argparse.ArgumentParser(add_help=False)
+    with_eta.add_argument(
+        "--eta",
+        default=DEFAULT_ETA,
+        help="coverage factor: share that must be conclusively classified "
+        f"(default {float(DEFAULT_ETA):g})",
+    )
 
     p_infer = sub.add_parser(
         "infer", parents=[common, with_constraint], help="conditional probability at the original values"
@@ -311,31 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_partition = sub.add_parser(
         "partition",
-        parents=[common, with_params, with_constraint],
+        parents=[common, with_params, with_constraint, with_eta],
         help="split the declared box into accepting/rejecting/unknown boxes",
-    )
-    p_partition.add_argument(
-        "--eta", default="0.99", help="coverage factor: share that must be conclusively classified (default 0.99)"
     )
     p_partition.add_argument("--emit-boxes", help="write the box lists as CSV to this file")
     p_partition.set_defaults(handler=_cmd_partition)
 
     p_tune = sub.add_parser(
         "tune",
-        parents=[common, with_params, with_constraint],
+        parents=[common, with_params, with_constraint, with_eta],
         help="find a satisfying instantiation of small distance",
     )
     p_tune.add_argument(
         "--distance", choices=("ec", "cd"), default="ec", help="distance measure (default ec)"
-    )
-    p_tune.add_argument(
-        "--eta", default="0.99", help="coverage factor: share that must be conclusively classified (default 0.99)"
-    )
-    p_tune.add_argument(
-        "--gamma", default="0.5", help="geometric growth factor of the search radius (default 0.5)"
-    )
-    p_tune.add_argument(
-        "--max-iters", type=int, default=6, help="number of search radii (default 6)"
     )
     p_tune.set_defaults(handler=_cmd_tune)
 

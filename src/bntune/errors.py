@@ -44,9 +44,11 @@ class BadRegion(Error):
 
 
 class CoverageUnreachable(Error):
-    """Partitioning hit its box-count guard before reaching the requested coverage.
+    """Partitioning stopped short of the requested coverage.
 
-    The ``partial`` attribute holds the partition computed so far.
+    Either its box-count guard was spent, or only inconclusive boxes that
+    have no live axis left to split remain.  The ``partial`` attribute holds
+    the partition computed so far.
     """
 
     def __init__(self, message: str, partial=None):
@@ -55,7 +57,7 @@ class CoverageUnreachable(Error):
 
 
 class UnsupportedForCD(Error):
-    """The total-variation style distance is only supported when all parameters sit in one table."""
+    """The Chan-Darwiche log-ratio distance (``distance_cd``) needs all parameters in one table."""
 
 
 class EmptyInput(Error):

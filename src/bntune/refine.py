@@ -1,11 +1,13 @@
 """Partitioning a parameter box into accepting, rejecting, and unknown parts.
 
 A work queue of boxes is verified in breadth-first order; inconclusive boxes
-are bisected along their widest *live* axis until the conclusively classified
-volume reaches the coverage factor, i.e. the requested share of the input
-box.  An axis is live when its parameter labels some edge of the chain; the
-others cannot change any verdict, so they stay whole.  All bookkeeping uses
-exact rational volumes, so the reported coverage is exact.
+are bisected along one *live* axis until the conclusively classified volume
+reaches the coverage factor, i.e. the requested share of the input box.  An
+axis is live when its parameter labels some edge of the chain; the others
+cannot change any verdict, so they stay whole.  Every queued box is the input
+box bisected some number ``d`` of times, cycling through the live axes, so
+its share of the input volume is exactly ``1 / 2**d`` and the reported
+coverage is an exact rational without measuring any box.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .poly import Region, as_fraction
 
 #: Cap on the number of box verifications in one partitioning run.
 BOX_GUARD = 2**16
+
+#: Default coverage factor: the share of a box that must be classified.
+DEFAULT_ETA = Fraction(99, 100)
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,7 @@ def partition(
     pmc: PMC,
     spec: ReachSpec,
     region: Region,
-    eta: float | Fraction = Fraction(99, 100),
+    eta: float | Fraction = DEFAULT_ETA,
     *,
     guard: int = BOX_GUARD,
     verifier: RegionVerifier | None = None,
@@ -62,77 +67,75 @@ def partition(
     classified the whole region, so accepting parts smaller than the ``1 -
     eta`` allowance cannot be skipped over.  Only live axes are bisected:
     those of the parameters in ``verifier.relaxed.parametric``, the
-    verifier being built from ``pmc`` and ``spec`` when none is given.  Raises
-    :class:`CoverageUnreachable`, carrying the partial result, when ``guard``
-    verifications were spent or only unsplittable inconclusive boxes remain.
+    verifier being built from ``pmc`` and ``spec`` when none is given.
+
+    A box at bisection depth ``d`` is split on live axis ``d`` modulo their
+    number, so the live axes take turns and every box at depth ``d`` holds
+    exactly ``1 / 2**d`` of the input volume.  Raises :class:`ValueError`
+    for an ``eta`` outside [0, 1] or a ``guard`` below 1, and
+    :class:`CoverageUnreachable`, carrying the partial result, when
+    ``guard`` verifications were spent or only unsplittable inconclusive
+    boxes remain.
     """
     eta = as_fraction(eta)
     if not 0 <= eta <= 1:
         raise ValueError(f"eta must be within [0, 1], got {eta}")
+    if guard < 1:
+        raise ValueError(f"guard must allow at least one verification, got {guard}")
     if verifier is None:
         verifier = RegionVerifier(pmc, spec)
-    axes = [i for i, (lb, ub) in enumerate(region.intervals) if ub > lb]
-    input_widths = {i: region.intervals[i][1] - region.intervals[i][0] for i in axes}
     on_edges = {name for _, local in verifier.relaxed.parametric for name in local}
-    live_axes = [i for i in axes if region.params[i] in on_edges]
-
-    def widest_axis(box: Region) -> int | None:
-        best, best_width = None, Fraction(0)
-        for i in live_axes:
-            lb, ub = box.intervals[i]
-            width = (ub - lb) / input_widths[i]
-            if width > best_width:
-                best, best_width = i, width
-        return best
-
-    total = region.volume()
-    threshold = eta * total
+    live_axes = [
+        i
+        for i, (name, (lb, ub)) in enumerate(zip(region.params, region.intervals))
+        if ub > lb and name in on_edges
+    ]
     accepting: list[Region] = []
     rejecting: list[Region] = []
     unknown: list[Region] = []
-    covered = Fraction(0)
+    covered = Fraction(0)  # conclusive share of the input volume
     verifications = 0
-    queue: deque[Region] = deque([region])
+    queue: deque[tuple[Region, int]] = deque([(region, 0)])
 
     def result() -> PartitionResult:
-        leftovers = unknown + list(queue)
+        leftovers = unknown + [box for box, _ in queue]
         return PartitionResult(
             tuple(sorted(accepting, key=Region.sort_key)),
             tuple(sorted(rejecting, key=Region.sort_key)),
             tuple(sorted(leftovers, key=Region.sort_key)),
-            covered / total,
+            covered,
             verifications,
         )
 
     def give_up() -> CoverageUnreachable:
         return CoverageUnreachable(
-            f"conclusive coverage {float(covered / total):.6g} after "
+            f"conclusive coverage {float(covered):.6g} after "
             f"{verifications} verifications, needed {float(eta):.6g}",
             partial=result(),
         )
 
     done = False
     while queue and not done:
-        box = queue.popleft()
+        box, depth = queue.popleft()
         verdict = verifier.verify(box)
         verifications += 1
         if verdict is Verdict.ACCEPTING:
             accepting.append(box)
-            covered += box.volume()
         elif verdict is Verdict.REJECTING:
             rejecting.append(box)
-            covered += box.volume()
-        searching = until_accepting and not accepting and covered < total
-        done = covered >= threshold and not searching
+        if verdict is not Verdict.INCONCLUSIVE:
+            covered += Fraction(1, 2**depth)
+        searching = until_accepting and not accepting and covered < 1
+        done = covered >= eta and not searching
         if verdict is Verdict.INCONCLUSIVE:
-            axis = None if done else widest_axis(box)
-            if axis is None:
+            if done or not live_axes:
                 unknown.append(box)
             else:
-                queue.extend(box.split(axis))
+                halves = box.split(live_axes[depth % len(live_axes)])
+                queue.extend((half, depth + 1) for half in halves)
         if not done and verifications >= guard:
             raise give_up()
-    if covered < threshold:
+    if covered < eta:
         raise give_up()
     return result()
 

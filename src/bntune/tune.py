@@ -3,9 +3,9 @@
 Starting from the original values, candidate boxes of growing size are carved
 out around them and partitioned into accepting/rejecting parts; as soon as
 accepting volume appears, the accepting point closest to the original values
-is returned.  Growth follows a geometric schedule whose last box is the
-declared box itself, under either distance, so a fully rejecting last box
-proves infeasibility.
+is returned.  The radii are fixed, ``d0 / 32`` doubling up to ``d0``, and the
+last box is the declared box itself, under either distance, so a fully
+rejecting last box proves infeasibility.
 """
 
 from __future__ import annotations
@@ -21,7 +21,12 @@ from .bn import Constraint, Instantiation, ParamBN
 from .errors import CoverageUnreachable, EmptyInput, NotWellFormed, UnsupportedForCD
 from .pmc import compile_tailored, reach_prob
 from .poly import Region, _binary_fraction
-from .refine import BOX_GUARD, partition
+from .refine import BOX_GUARD, DEFAULT_ETA, partition
+
+#: The schedule: ``_STEPS`` radii, each ``1 / _GAMMA`` times the one before,
+#: the last being ``d0``.
+_GAMMA = 0.5
+_STEPS = 6
 
 
 class Status(str, Enum):
@@ -41,25 +46,17 @@ class Hyper:
     """Search hyper-parameters.
 
     ``eta`` is the coverage factor each partitioning must reach (the share of
-    a candidate box that must be conclusively classified); ``gamma`` the
-    geometric growth factor of the candidate box sizes (the radii run from
-    ``d0 * gamma**(max_iters-1)`` up to ``d0``, and the last box is the
-    declared box); ``guard`` caps the number of box verifications each
-    partitioning may spend.  Candidate boxes lie inside the declared box.
+    a candidate box that must be conclusively classified); ``guard`` caps the
+    number of box verifications each partitioning may spend.  The schedule
+    of candidate radii is fixed (see :func:`tune`).
     """
 
-    eta: Fraction = Fraction(99, 100)
-    gamma: Fraction = Fraction(1, 2)
-    max_iters: int = 6
+    eta: Fraction = DEFAULT_ETA
     guard: int = BOX_GUARD
 
     def __post_init__(self):
         if not 0 <= self.eta <= 1:
             raise ValueError(f"eta must be within [0, 1], got {self.eta}")
-        if not 0 < self.gamma < 1:
-            raise ValueError(f"gamma must be within (0, 1), got {self.gamma}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
         if self.guard < 1:
             raise ValueError("guard must allow at least one verification")
 
@@ -287,14 +284,16 @@ def tune(
     """Search for a satisfying instantiation of minimal distance.
 
     Returns immediately when the original values satisfy the constraint.
-    Otherwise candidate boxes grow along the geometric schedule: the first
-    ``max_iters - 1`` are built around the original values by the measure's
-    expander, and the last is the declared box itself, at radius ``d0``.
+    Otherwise candidate boxes grow along a fixed schedule of six radii,
+    ``d0 / 32``, ``d0 / 16``, ... up to ``d0``: the first five boxes are
+    built around the original values by the measure's expander, and the
+    last is the declared box itself.
     A step whose box, before clamping, misses a declared interval is skipped:
     that box holds no declared point, and clamping would only collapse it
     onto the declared box's edge.  So every answer lies within
     its ``epsilon_final`` of the original values, up to the float rounding
-    of the box's ends.
+    of the box's ends.  A step whose box equals the previous step's box is
+    skipped too, since it would be partitioned the same way again.
     Each box is partitioned until an accepting part turns up or the box is
     proven fully rejecting, so even accepting slivers far below the coverage
     allowance are found.  The first box with accepting volume yields the
@@ -312,8 +311,7 @@ def tune(
     if spec.satisfied_by(p0):
         return TuneResult(Status.SATISFIED, dict(u0), 0.0, measure, p0, None, d0, ())
 
-    gamma = float(hyper.gamma)
-    radii = [d0 * gamma ** (hyper.max_iters - i) for i in range(1, hyper.max_iters + 1)]
+    radii = [d0 * _GAMMA**k for k in reversed(range(_STEPS))]
     steps = []
     for epsilon in radii[:-1]:
         intervals = candidate(pbn, u0, epsilon)
@@ -329,6 +327,10 @@ def tune(
     verifier = refine.RegionVerifier(chain, spec)
     stats: list[IterationStats] = []
     for epsilon, region in steps:
+        # The boxes only grow, so a repeated box directly follows the step
+        # that already partitioned it, at a smaller radius.
+        if stats and region == stats[-1].region:
+            continue
         try:
             result = partition(
                 chain,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import bntune
 
 EXPORTS = [
@@ -27,3 +29,8 @@ def test_all_is_exactly_the_public_contract():
 def test_every_exported_name_resolves():
     for name in bntune.__all__:
         assert getattr(bntune, name) is not None, name
+
+
+def test_hyper_has_only_the_coverage_factor_and_the_guard():
+    # The schedule is fixed; a new search knob must be argued for here.
+    assert tuple(field.name for field in dataclasses.fields(bntune.Hyper)) == ("eta", "guard")

@@ -344,10 +344,18 @@ def test_tune_deterministic_output(capsys, toy_files):
 def test_tune_bad_hyper(capsys, toy_files):
     net, params = toy_files
     code, payload = run_cli(
-        capsys, "tune", net, "-p", params, "-c", "P(T=yes) <= 0.3", "--gamma", "1"
+        capsys, "tune", net, "-p", params, "-c", "P(T=yes) <= 0.3", "--eta", "1.5"
     )
     assert code == 1
     assert payload["status"] == "error"
+
+
+@pytest.mark.parametrize("flag", ["--gamma", "--max-iters"])
+def test_tune_schedule_flags_are_gone(capsys, toy_files, flag):
+    net, params = toy_files
+    argv = ["tune", str(net), "-p", str(params), "-c", "P(T=yes) <= 0.3", flag, "1"]
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

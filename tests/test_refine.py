@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
-from bntune import Region, compile_chain, compile_tailored
+from bntune import (
+    Constraint,
+    Region,
+    compile_chain,
+    compile_tailored,
+    net_from_tables,
+    parametrize,
+    reach_prob,
+)
 from bntune.errors import CoverageUnreachable
 from bntune.lifting import RegionVerifier, Verdict, relax
 from bntune.pmc import ReachSpec
 from bntune.refine import PartitionResult, boxes_csv, partition
-from conftest import state_index
+from conftest import random_constraint, random_net, random_parametrization, random_region, state_index
 
 
 @pytest.fixture
@@ -124,6 +134,16 @@ def test_eta_validation(toy_chain):
         partition(pmc, toy_spec(yes), FULL, eta=Fraction(-1, 10))
 
 
+def test_guard_validation(toy_chain):
+    # A guard below one would still spend a verification before giving up.
+    pmc, yes = toy_chain
+    stub = StubVerifier(pmc)
+    for guard in (0, -1):
+        with pytest.raises(ValueError):
+            partition(pmc, toy_spec(yes), FULL, guard=guard, verifier=stub)
+    assert stub.calls == 0
+
+
 def test_until_accepting_digs_out_a_small_accepting_sliver(toy_chain):
     # Only [0.59, 0.6] is accepting for >= 0.59 — 2.5% of the region, well
     # under the 10% slack of eta = 0.9, so the plain run may stop without it.
@@ -227,3 +247,124 @@ def test_boxes_csv_multi_parameter_header(covid_pbn, covid_constraint):
     lines = boxes_csv(res).splitlines()
     assert lines[0] == "verdict,p_low,p_high,q_low,q_high"
     assert all(line.count(",") == 4 for line in lines[1:])
+
+
+# -- equivalence with the widest-axis rule --------------------------------------
+
+
+def widest_axis_partition(pmc, spec, region, eta, *, guard, until_accepting=False):
+    """The rule depth splitting replaced, kept as a reference: split the live
+    axis that is widest relative to the input, the first one on ties, and
+    count coverage from exact box volumes."""
+    verifier = RegionVerifier(pmc, spec)
+    on_edges = {name for _, local in verifier.relaxed.parametric for name in local}
+    live = [
+        i
+        for i, (name, (lb, ub)) in enumerate(zip(region.params, region.intervals))
+        if ub > lb and name in on_edges
+    ]
+    total = region.volume()
+    accepting, rejecting, unknown = [], [], []
+    covered, verifications = Fraction(0), 0
+    queue = deque([region])
+
+    def result():
+        return PartitionResult(
+            tuple(sorted(accepting, key=Region.sort_key)),
+            tuple(sorted(rejecting, key=Region.sort_key)),
+            tuple(sorted(unknown + list(queue), key=Region.sort_key)),
+            covered / total,
+            verifications,
+        )
+
+    done = False
+    while queue and not done:
+        box = queue.popleft()
+        verdict = verifier.verify(box)
+        verifications += 1
+        if verdict is Verdict.ACCEPTING:
+            accepting.append(box)
+            covered += box.volume()
+        elif verdict is Verdict.REJECTING:
+            rejecting.append(box)
+            covered += box.volume()
+        searching = until_accepting and not accepting and covered < total
+        done = covered >= eta * total and not searching
+        if verdict is Verdict.INCONCLUSIVE:
+            if done or not live:
+                unknown.append(box)
+            else:
+                relative = [
+                    (box.intervals[i][1] - box.intervals[i][0])
+                    / (region.intervals[i][1] - region.intervals[i][0])
+                    for i in live
+                ]
+                queue.extend(box.split(live[relative.index(max(relative))]))
+        if not done and verifications >= guard:
+            raise CoverageUnreachable("guard", partial=result())
+    if covered < eta * total:
+        raise CoverageUnreachable("coverage", partial=result())
+    return result()
+
+
+def outcome(run, *args, **kwargs):
+    try:
+        return "complete", run(*args, **kwargs)
+    except CoverageUnreachable as exc:
+        return "partial", exc.partial
+
+
+def assert_same_as_widest_axis(pmc, spec, region, *, guard):
+    for eta in (Fraction(9, 10), Fraction(99, 100), Fraction(1)):
+        for until_accepting in (False, True):
+            kwargs = dict(guard=guard, until_accepting=until_accepting)
+            expected = outcome(widest_axis_partition, pmc, spec, region, eta, **kwargs)
+            assert outcome(partition, pmc, spec, region, eta, **kwargs) == expected
+
+
+def crossing_spec(pmc, spec, region):
+    """``spec`` with its threshold moved to the probability at the region's
+    centre, so that the boundary runs through the region."""
+    at_centre = reach_prob(pmc, region.center(), spec.targets)
+    return ReachSpec(spec.targets, spec.direction, Fraction(at_centre).limit_denominator(10**6))
+
+
+def test_depth_splitting_matches_the_widest_axis_rule_on_random_nets():
+    rng = random.Random(2024)
+    split_two_axes = 0
+    for _ in range(40):
+        net = random_net(rng)
+        pbn = random_parametrization(rng, net)
+        pmc, spec = compile_tailored(pbn, random_constraint(rng, net))
+        region = random_region(rng, pbn)
+        spec = crossing_spec(pmc, spec, region)
+        assert_same_as_widest_axis(pmc, spec, region, guard=60)
+        _, result = outcome(partition, pmc, spec, region, 1, guard=60)
+        boxes = result.accepting + result.rejecting + result.unknown
+        split = [i for i in range(len(region.params)) if len({b.intervals[i] for b in boxes}) > 1]
+        split_two_axes += len(split) >= 2
+    assert split_two_axes >= 5
+
+
+def test_depth_splitting_matches_the_widest_axis_rule_around_dead_axes():
+    # Given B, C is barren for A, so r labels no edge; d is degenerate in the
+    # region.  Only s and p are live, and the dead axes lie between them.
+    variables = [("A", ("y", "n"), ()), ("C", ("y", "n"), ("A",)), ("B", ("y", "n"), ("A",))]
+    tables = {
+        "A": {(): ("0.3", "0.7")},
+        "C": {("y",): ("0.6", "0.4"), ("n",): ("0.2", "0.8")},
+        "B": {("y",): ("0.9", "0.1"), ("n",): ("0.25", "0.75")},
+    }
+    coords = [("A", (), 0), ("C", ("y",), 0), ("B", ("y",), 0), ("B", ("n",), 0)]
+    pbn = parametrize(net_from_tables(variables, tables), coords, dict(zip(coords, "srdp")))
+    constraint = Constraint((("A", "y"),), (("B", "y"),), ">=", Fraction(3, 5))
+    pmc, spec = compile_tailored(pbn, constraint)
+    region = Region.from_bounds(
+        {"s": ("0.2", "0.4"), "r": ("0.5", "0.7"), "d": ("0.9", "0.9"), "p": ("0.2", "0.3")}
+    )
+    assert region.params == pmc.parameter_names
+    _, result = outcome(partition, pmc, spec, region, 1, guard=60)
+    boxes = result.accepting + result.rejecting + result.unknown
+    assert all(len({box.interval(name) for box in boxes}) == 1 for name in "rd")
+    assert all(len({box.interval(name) for box in boxes}) > 1 for name in "sp")
+    assert_same_as_widest_axis(pmc, spec, region, guard=60)

@@ -298,7 +298,7 @@ def test_tune_covid_euclidean_defaults(covid_pbn, covid_constraint):
     assert result.status is Status.TUNED
     assert result.measure == "ec"
     assert result.d0 == pytest.approx(math.sqrt(2), abs=1e-12)
-    # Pinned outcome of the default schedule (eta=0.99, gamma=1/2, K=6).
+    # Pinned outcome of the default coverage factor, eta = 0.99.
     d2 = result.distance**2
     assert d2 == pytest.approx(0.03393790957125098, rel=1e-9)
     assert result.probability == pytest.approx(0.008993168210347551, rel=1e-9)
@@ -316,17 +316,6 @@ def test_tune_covid_euclidean_defaults(covid_pbn, covid_constraint):
     )
     # Distance never exceeds the radius of the last candidate region.
     assert result.distance <= float(result.epsilon_final) + 1e-12
-
-
-def test_tune_covid_shorter_schedule(covid_pbn, covid_constraint):
-    # With K=4 the schedule starts at d0/8, so fewer, larger steps reach the
-    # same final radius and the same tuned distance.
-    result = tune(
-        covid_pbn, covid_constraint, hyper=Hyper(max_iters=4)
-    )
-    assert result.status is Status.TUNED
-    assert len(result.iterations) == 2
-    assert result.distance**2 == pytest.approx(0.03393790957125098, rel=1e-9)
 
 
 def test_tune_covid_lower_bound_direction(covid_pbn):
@@ -458,6 +447,31 @@ def test_tune_unknown_when_coverage_unreachable(toy_pbn):
     assert result.iterations  # it tried before giving up
 
 
+def test_tune_skips_a_repeated_box_when_unknown(toy_pbn):
+    # From radius 0.25 on, every step clamps to the declared box [0.2, 0.6];
+    # partitioning it again with the same verifier would spend the same 2000
+    # verifications for the same partial result.
+    constraint = Constraint((("T", "yes"),), (), "<=", Fraction(2, 10))
+    result = tune(toy_pbn, constraint, hyper=Hyper(guard=2000))
+    assert result.status is Status.UNKNOWN
+    assert [it.verifications for it in result.iterations] == [1, 1, 1, 2000]
+    assert [it.epsilon for it in result.iterations] == [1 / 32, 1 / 16, 1 / 8, 1 / 4]
+    assert result.iterations[-1].region == toy_pbn.space()
+
+
+def test_tune_skips_a_repeated_box_when_infeasible(toy_pbn):
+    # The declared box, reached at radius 0.25, is proven fully rejecting
+    # once; the schedule's last step, the declared box itself, is not rerun.
+    constraint = Constraint((("T", "yes"),), (), "<=", Fraction(1, 10))
+    result = tune(toy_pbn, constraint)
+    assert result.status is Status.INFEASIBLE
+    assert len(result.iterations) == 4
+    assert result.iterations[-1].region == toy_pbn.space()
+    assert result.iterations[-1].coverage == 1
+    regions = [it.region for it in result.iterations]
+    assert len(set(regions)) == len(regions)
+
+
 def test_tune_toy_distance_near_optimum(toy_pbn):
     # Satisfying P(T=yes) <= 0.3 needs x <= 0.3: optimal move is 0.1.
     constraint = Constraint((("T", "yes"),), (), "<=", Fraction(3, 10))
@@ -479,9 +493,9 @@ def test_tune_rejects_unknown_measure(toy_pbn):
     [
         {"eta": Fraction(3, 2)},
         {"eta": Fraction(-1, 10)},
-        {"gamma": Fraction(0)},
-        {"gamma": Fraction(1)},
-        {"max_iters": 0},
+        {"eta": Fraction(1, 2), "guard": -1},
+        {"eta": Fraction(101, 100)},
+        {"guard": -5},
         {"guard": 0},
     ],
 )
@@ -491,7 +505,7 @@ def test_hyper_validation(kwargs):
 
 
 def test_tune_iteration_stats_shape(covid_pbn, covid_constraint):
-    result = tune(covid_pbn, covid_constraint, hyper=Hyper(max_iters=4))
+    result = tune(covid_pbn, covid_constraint, hyper=Hyper())
     last = result.iterations[-1]
     assert last.verifications >= last.accepting + last.rejecting + last.unknown
     assert 0 <= float(last.coverage) <= 1
