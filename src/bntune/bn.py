@@ -18,6 +18,7 @@ from .errors import (
     BadOrder,
     NotWellFormed,
     UnboundParameter,
+    UnknownValue,
     UnsupportedDegree,
     UnsupportedMultiEntryRow,
     ZeroEntry,
@@ -261,8 +262,6 @@ class Constraint:
             raise NotWellFormed(f"threshold {self.threshold} is outside [0, 1]")
 
     def check_against(self, net: BayesNet | ParamBN) -> None:
-        from .errors import UnknownValue
-
         for var, value in self.hypothesis + self.evidence:
             if var not in net.variable_map:
                 raise UnknownValue(f"unknown variable {var!r}")

@@ -581,38 +581,42 @@ class SensitivityFunction:
         return f"({self.numerator}) / ({self.denominator})"
 
 
-def sensitivity_function(
-    pmc: PMC, targets: Iterable[int], guard: int = ELIMINATION_GUARD
-) -> SensitivityFunction:
+def sensitivity_function(pmc: PMC, targets: Iterable[int]) -> SensitivityFunction:
     """Closed form of the reachability probability, in the level order of :meth:`PMC.solver`.
 
     One deepest-level-first pass over :attr:`LeveledSolver.order` builds,
-    per state, the target mass T and the restart mass R as polynomials; the
-    probability is T/(1 - R) at the initial state.  Numerator and
-    denominator are normalized to coprime integer coefficients.  Raises
-    :class:`NotWellFormed` for a chain that is not leveled, and, as the
-    solver evaluates :attr:`PMC.lowered`, for a parameter-free state whose
-    weights are not a sub-distribution.
+    per state, two polynomials, summed as the solver sums its floats: the
+    target mass T and the ending mass E, the mass that ends at a target or
+    leaf without restarting.  The probability is T/E at the initial state.
+    E equals 1 - R for the restart mass R only where every row sums to one
+    exactly; constant rows need only come within ``bn.ROW_SUM_TOLERANCE``.
+    Numerator and denominator are normalized to coprime integer
+    coefficients.  Raises :class:`TooLarge` beyond ``ELIMINATION_GUARD``
+    states, :class:`NotWellFormed` for a chain that is not leveled, and, as
+    the solver evaluates :attr:`PMC.lowered`, for a parameter-free state
+    whose weights are not a sub-distribution.
     """
-    if pmc.n_states > guard:
-        raise TooLarge(f"{pmc.n_states} states exceed the elimination guard of {guard}")
+    if pmc.n_states > ELIMINATION_GUARD:
+        raise TooLarge(
+            f"{pmc.n_states} states exceed the elimination guard of {ELIMINATION_GUARD}"
+        )
     targets = frozenset(targets)
     order = pmc.solver(targets).order
     if pmc.initial in targets:
         return SensitivityFunction(ONE, ONE)
-    # Leaves are in neither map, so their mass counts towards neither.  The
-    # initial state comes last, so its restart edges read R = 1.
+    # Targets and leaves are the states the pass skips; both end the mass.
+    # The initial state comes last, so its restart edges read E = 0.
     t_of = dict.fromkeys(targets, ONE)
-    r_of = {pmc.initial: ONE}
+    e_of = dict.fromkeys(set(range(pmc.n_states)).difference(order), ONE)
     for s in order:
-        t = r = ZERO
+        t = e = ZERO
         for succ, w in pmc.edges[s]:
             if succ in t_of:
                 t = t + w * t_of[succ]
-            if succ in r_of:
-                r = r + w * r_of[succ]
-        t_of[s], r_of[s] = t, r
-    return SensitivityFunction(*_normalize_ratio(t_of[pmc.initial], ONE - r_of[pmc.initial]))
+            if succ in e_of:
+                e = e + w * e_of[succ]
+        t_of[s], e_of[s] = t, e
+    return SensitivityFunction(*_normalize_ratio(t_of[pmc.initial], e_of[pmc.initial]))
 
 
 def _normalize_ratio(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:

@@ -165,74 +165,51 @@ def d0_upper(pbn: ParamBN, measure: str = "ec") -> float:
 # -- candidate boxes -----------------------------------------------------------
 
 
-def _boxed_axis(
-    u0: Fraction, lo: Fraction, hi: Fraction, declared: tuple[Fraction, Fraction]
-) -> tuple[Fraction, Fraction]:
-    """Clamp a candidate interval into the declared one.
-
-    The result always contains the original value clamped into the declared
-    interval, so it is never empty and never leaves the declared interval,
-    even when the original value lies outside it.
-    """
-    dlb, dub = declared
-    center = min(max(u0, dlb), dub)
-    return min(max(lo, dlb), center), max(min(hi, dub), center)
-
-
-def _clamped(pbn: ParamBN, u0: Mapping[str, Fraction], intervals) -> Region:
-    """The candidate ``intervals``, one per declared parameter, clamped by :func:`_boxed_axis`."""
-    return Region(
-        pbn.parameter_names,
-        tuple(
-            _boxed_axis(Fraction(u0[name]), lo, hi, declared)
-            for (name, declared), (lo, hi) in zip(pbn.params, intervals)
-        ),
+def _met(pbn: ParamBN, intervals) -> Region | None:
+    """The box of ``intervals``, one per declared parameter, met with the
+    declared box, or ``None`` when one of them misses its declared interval."""
+    met = tuple(
+        (max(lo, dlb), min(hi, dub))
+        for (lo, hi), (_, (dlb, dub)) in zip(intervals, pbn.params)
     )
+    return Region(pbn.parameter_names, met) if all(lo <= hi for lo, hi in met) else None
 
 
-def _ec_intervals(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float):
-    """The unclamped intervals of :func:`expand_region_ec`."""
+def expand_region_ec(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -> Region | None:
+    """The largest axis-aligned box around ``u0`` with Euclidean radius
+    ``epsilon``, met with the declared box (``None`` if they do not meet)."""
     halfwidth = _binary_fraction(epsilon / math.sqrt(max(len(pbn.params), 1)))
     centers = [Fraction(u0[name]) for name in pbn.parameter_names]
-    return [(center - halfwidth, center + halfwidth) for center in centers]
+    return _met(pbn, [(center - halfwidth, center + halfwidth) for center in centers])
 
 
-def expand_region_ec(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -> Region:
-    """The largest axis-aligned box around ``u0`` with Euclidean radius ``epsilon``,
-    clamped to the declared intervals."""
-    return _clamped(pbn, u0, _ec_intervals(pbn, u0, epsilon))
+def expand_region_cd(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -> Region | None:
+    """A box around ``u0`` inside log-ratio distance ``epsilon``, met with the
+    declared box (``None`` if they do not meet).
 
-
-def _cd_intervals(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float):
-    """The unclamped intervals of :func:`expand_region_cd`."""
+    Every point of the box built here lies within the radius, up to the
+    float rounding of its ends.  With ``a = exp(epsilon/2)``, keeping both
+    ``x/x0`` and ``(1-x)/(1-x0)`` inside ``[1/a, a]`` keeps every entry
+    ratio of the tuned table inside ``[1/a, a]`` (co-varied entries scale
+    with ``(1-x)/(1-x0)``), so the distance over the whole box stays at most
+    ``epsilon``.
+    """
     _single_tuned_cpt(pbn)  # reject multi-table parameter sets up front
     alpha = math.exp(float(epsilon) / 2.0)
     intervals = []
     for name in pbn.parameter_names:
-        c = float(u0[name])
+        center = Fraction(u0[name])
+        c = float(center)
         lo = _binary_fraction(max(c / alpha, 1.0 - (1.0 - c) * alpha))
         hi = _binary_fraction(min(c * alpha, 1.0 - (1.0 - c) / alpha))
-        intervals.append((lo, hi))
-    return intervals
+        # At tiny radii the float ends can round past ``u0``, which the
+        # exact box contains.
+        intervals.append((min(lo, center), max(hi, center)))
+    return _met(pbn, intervals)
 
 
-def expand_region_cd(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -> Region:
-    """A box around ``u0`` inside log-ratio distance ``epsilon``, clamped to
-    the declared intervals.
-
-    When ``u0`` lies in the declared box, every point of the box built here
-    lies within the radius, up to the float rounding of its ends.  With
-    ``a = exp(epsilon/2)``, keeping both ``x/x0`` and ``(1-x)/(1-x0)`` inside
-    ``[1/a, a]`` keeps every entry ratio of the tuned table inside
-    ``[1/a, a]`` (co-varied entries scale with ``(1-x)/(1-x0)``), so the
-    distance over the whole box stays at most ``epsilon``.
-    """
-    return _clamped(pbn, u0, _cd_intervals(pbn, u0, epsilon))
-
-
-#: Per distance measure: the distance itself and the unclamped candidate
-#: intervals of a radius.
-_MEASURES = {"ec": (distance_ec, _ec_intervals), "cd": (distance_cd, _cd_intervals)}
+#: Per distance measure: the distance itself and the candidate box of a radius.
+_MEASURES = {"ec": (distance_ec, expand_region_ec), "cd": (distance_cd, expand_region_cd)}
 
 
 def _measure(measure: str):
@@ -286,14 +263,13 @@ def tune(
     Returns immediately when the original values satisfy the constraint.
     Otherwise candidate boxes grow along a fixed schedule of six radii,
     ``d0 / 32``, ``d0 / 16``, ... up to ``d0``: the first five boxes are
-    built around the original values by the measure's expander, and the
-    last is the declared box itself.
-    A step whose box, before clamping, misses a declared interval is skipped:
-    that box holds no declared point, and clamping would only collapse it
-    onto the declared box's edge.  So every answer lies within
-    its ``epsilon_final`` of the original values, up to the float rounding
-    of the box's ends.  A step whose box equals the previous step's box is
-    skipped too, since it would be partitioned the same way again.
+    the measure's expander's radius boxes around the original values, met
+    with the declared box, and the last is the declared box itself.  A step
+    whose radius box misses a declared interval holds no declared point and
+    is skipped, so every answer lies within its ``epsilon_final`` of the
+    original values, up to the float rounding of the box's ends.  A step
+    whose box equals the previous step's box is skipped too, since it would
+    be partitioned the same way again.
     Each box is partitioned until an accepting part turns up or the box is
     proven fully rejecting, so even accepting slivers far below the coverage
     allowance are found.  The first box with accepting volume yields the
@@ -304,32 +280,24 @@ def tune(
     so far.  Raises :class:`ValueError` for an unknown ``measure``.
     """
     d0 = d0_upper(pbn, measure)
-    _, candidate = _measure(measure)
+    _, expand = _measure(measure)
     u0 = pbn.origin_instantiation()
     chain, spec = compile_tailored(pbn, constraint, order=order)
     p0 = reach_prob(chain, u0, spec.targets)
     if spec.satisfied_by(p0):
         return TuneResult(Status.SATISFIED, dict(u0), 0.0, measure, p0, None, d0, ())
 
-    radii = [d0 * _GAMMA**k for k in reversed(range(_STEPS))]
-    steps = []
-    for epsilon in radii[:-1]:
-        intervals = candidate(pbn, u0, epsilon)
-        # A candidate that misses a declared interval holds no declared
-        # point; clamping would collapse it onto the declared box's edge,
-        # beyond its radius.  One that meets them all clamps to its meet
-        # with the declared box, a sub-box of itself.
-        if all(lo <= dub and dlb <= hi for (lo, hi), (_, (dlb, dub)) in zip(intervals, pbn.params)):
-            steps.append((epsilon, _clamped(pbn, u0, intervals)))
-    steps.append((radii[-1], pbn.space()))
     # Through the module attribute, so that a substituted verifier class
     # (the benchmark's traced one) is the one built.
     verifier = refine.RegionVerifier(chain, spec)
     stats: list[IterationStats] = []
-    for epsilon, region in steps:
-        # The boxes only grow, so a repeated box directly follows the step
-        # that already partitioned it, at a smaller radius.
-        if stats and region == stats[-1].region:
+    for k in reversed(range(_STEPS)):
+        epsilon = d0 * _GAMMA**k
+        region = expand(pbn, u0, epsilon) if k else pbn.space()
+        # ``None`` is a radius box that holds no declared point.  The boxes
+        # only grow, so a repeated box directly follows the step that
+        # already partitioned it, at a smaller radius.
+        if region is None or (stats and region == stats[-1].region):
             continue
         try:
             result = partition(

@@ -7,7 +7,8 @@ imports are exempt, and so are the re-exports of the package's
 ``__init__.py``.  Likewise every private top-level name of the package (a
 function, class or constant named ``_x``) is read somewhere in the package
 outside its own definition.  Importing the package must not load numpy,
-which only ``oracle.grid_min_distance`` needs.
+which only ``oracle.grid_min_distance`` needs; that function's numpy import
+is the one import of the package made inside a function.
 """
 
 from __future__ import annotations
@@ -76,6 +77,44 @@ def test_the_check_finds_an_unused_import():
         "    return os.sep",
     ])
     assert unused_imports(source) == ["Mapping (line 3)", "z (line 4)"]
+
+
+#: (module, function, imported module) of each import allowed inside a function.
+LOCAL_IMPORTS = {("oracle", "grid_min_distance", "numpy")}
+
+
+def local_imports(sources: dict[str, str]) -> list[tuple[str, str, str]]:
+    """(module, function, imported module) of each import made inside a function."""
+    found = []
+    for module, source in sources.items():
+        for func in ast.walk(ast.parse(source)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    found += [(module, func.name, alias.name) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    found.append((module, func.name, "." * node.level + (node.module or "")))
+    return found
+
+
+def test_the_package_imports_only_at_the_top():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert set(local_imports(sources)) <= LOCAL_IMPORTS
+
+
+def test_the_check_finds_an_import_inside_a_function():
+    source = "\n".join([
+        "import os",
+        "def f():",
+        "    import numpy as np",
+        "    return np",
+        "class C:",
+        "    def g(self):",
+        "        from .errors import UnknownValue",
+        "        return UnknownValue",
+    ])
+    assert local_imports({"m": source}) == [("m", "f", "numpy"), ("m", "g", ".errors")]
 
 
 def _read_names(node: ast.AST) -> set[str]:

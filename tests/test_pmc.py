@@ -313,10 +313,29 @@ def test_sensitivity_function_single_parameter(toy_pbn):
     assert fn.denominator == ONE
 
 
-def test_sensitivity_guard(tailored):
+def test_sensitivity_guard(tailored, monkeypatch):
     pmc, spec = tailored
+    monkeypatch.setattr("bntune.pmc.ELIMINATION_GUARD", 2)
     with pytest.raises(TooLarge):
-        sensitivity_function(pmc, spec.targets, guard=2)
+        sensitivity_function(pmc, spec.targets)
+
+
+def test_sensitivity_function_on_a_row_that_misses_a_unit_sum():
+    # A's row sums to 1 - 5e-10, within the row-sum tolerance.  The closed
+    # form must divide by the mass that ends at a target or leaf, as the
+    # solver and the oracle do, not by one minus the restart mass.
+    net = net_from_tables(
+        [("A", ("t", "f"), ()), ("B", ("t", "f"), ("A",))],
+        {"A": {(): ("0.3", "0.6999999995")},
+         "B": {("t",): ("0.8", "0.2"), ("f",): ("0.4", "0.6")}},
+    )
+    pbn = parametrize(net, [("B", ("t",), 0)], {("B", ("t",), 0): "x"})
+    constraint = Constraint((("A", "t"),), (("B", "t"),), ">=", Fraction(1, 2))
+    pmc, spec = compile_tailored(pbn, constraint)
+    u0 = pbn.origin_instantiation()
+    want = infer(instantiate(pbn, u0), constraint.hypothesis, constraint.evidence)
+    assert reach_prob(pmc, u0, spec.targets) == pytest.approx(want, rel=1e-15)
+    assert sensitivity_function(pmc, spec.targets).evaluate(u0) == pytest.approx(want, rel=1e-15)
 
 
 def test_conditional_via_ratio(covid_pbn, covid_constraint):

@@ -51,7 +51,7 @@ def test_distance_ec_known_point(covid_pbn):
     assert d == pytest.approx(math.sqrt(0.20075**2 + 0.02475**2), abs=1e-12)
 
 
-def _single_row_pbn(values=("0.5", "0.5")):
+def _single_row_pbn(values=("0.5", "0.5"), intervals=None):
     """One-node pBN whose only CPT row is tunable (CD-compatible)."""
     from bntune.bn import net_from_tables
 
@@ -59,7 +59,7 @@ def _single_row_pbn(values=("0.5", "0.5")):
         [("T", ("yes", "no"), ())],
         {"T": {(): tuple(values)}},
     )
-    return parametrize(net, [("T", (), 0)], {("T", (), 0): "x"})
+    return parametrize(net, [("T", (), 0)], {("T", (), 0): "x"}, intervals)
 
 
 def test_distance_cd_symmetric_row():
@@ -140,10 +140,37 @@ def test_expand_region_ec_single_parameter(toy_pbn):
     assert float(hi) == pytest.approx(0.5, abs=1e-15)
 
 
-def test_expand_region_ec_clamps_to_declared_interval(toy_pbn):
-    # Declared interval is [0.2, 0.6]; a huge radius saturates both ends.
-    region = expand_region_ec(toy_pbn, toy_pbn.origin_instantiation(), 5.0)
-    assert region.interval("x") == (Fraction(1, 5), Fraction(3, 5))
+_HALF = Fraction(0.2 / math.sqrt(2))
+
+
+@pytest.mark.parametrize(
+    "interval,epsilon,want",
+    [
+        # A huge radius saturates both ends of both declared intervals.
+        ("0.2, 0.9", 5.0, (
+            (Fraction(1, 5), Fraction(9, 10)),
+            (Fraction(1, 10**6), 1 - Fraction(1, 10**6)),
+        )),
+        # The origin 0.72 lies above [0.1, 0.2] and the radius box misses it:
+        # no declared point lies within the radius.
+        ("0.1, 0.2", 0.05, None),
+        # The radius box reaches into [0.1, 0.65]: their meet is the box that
+        # clamping the origin to 0.65 first would give.
+        ("0.1, 0.65", 0.2, (
+            (Fraction(18, 25) - _HALF, Fraction(13, 20)),
+            (Fraction(19, 20) - _HALF, 1 - Fraction(1, 10**6)),
+        )),
+    ],
+    ids=["saturates", "misses", "origin-outside"],
+)
+def test_expand_region_ec_meets_the_declared_box(covid_net, interval, epsilon, want):
+    params = f"""
+        param p {{ entry: Antigen(yes, yes): pos; interval: {interval}; }}
+        param q {{ entry: PCR(yes): pos; }}
+    """
+    pbn = parse_param_spec(params, covid_net)
+    region = expand_region_ec(pbn, pbn.origin_instantiation(), epsilon)
+    assert (None if region is None else region.intervals) == want
 
 
 def test_expand_region_ec_zero_radius_is_origin(toy_pbn):
@@ -210,6 +237,25 @@ def test_expand_region_cd_vertices_within_radius(pivot, eps):
     region = expand_region_cd(pbn, pbn.origin_instantiation(), eps)
     for vertex in region.vertices():
         assert distance_cd(pbn, vertex) <= eps + 1e-9
+
+
+@pytest.mark.parametrize(
+    "pivot,interval,epsilon,want",
+    [
+        # The box around the origin 0.5 misses [0.1, 0.2].
+        ("0.5", (Fraction(1, 10), Fraction(1, 5)), 0.2, None),
+        # It reaches into [0.1, 0.47], the origin still outside.
+        ("0.5", (Fraction(1, 10), Fraction(47, 100)), 0.2,
+         ((Fraction(0.5 / math.exp(0.1)), Fraction(47, 100)),)),
+        # At radius zero the float ends round past 1/10; the box is the origin.
+        ("0.1", None, 0.0, ((Fraction(1, 10), Fraction(1, 10)),)),
+    ],
+    ids=["misses", "origin-outside", "zero-radius"],
+)
+def test_expand_region_cd_meets_the_declared_box(pivot, interval, epsilon, want):
+    pbn = _single_row_pbn((pivot, str(1 - Fraction(pivot))), interval and {"x": interval})
+    region = expand_region_cd(pbn, pbn.origin_instantiation(), epsilon)
+    assert (None if region is None else region.intervals) == want
 
 
 def test_expand_region_cd_rejects_multiple_cpts(covid_pbn):
@@ -402,10 +448,9 @@ def test_tune_infeasible_under_cd(covid_net):
 
 
 def test_tune_with_the_origin_outside_its_interval(covid_net):
-    # p's original value 0.72 lies above its declared interval [0.1, 0.2], so
-    # every candidate box clamps its centre to 0.2 and stays declared.  Every
-    # schedule step before the last misses [0.1, 0.2] and is skipped: clamped,
-    # it would hold points farther away than its radius.
+    # p's original value 0.72 lies above its declared interval [0.1, 0.2].
+    # Every radius box before the last misses [0.1, 0.2], so those steps are
+    # skipped and only the declared box is partitioned.
     params = """
         param p { entry: Antigen(yes, yes): pos; interval: 0.1, 0.2; }
         param q { entry: PCR(yes): pos; }
