@@ -31,7 +31,6 @@ from .lifting import (
     MARGIN,
     BoundMDP,
     RegionVerifier,
-    RelaxedPMC,
     Verdict,
     extremal_reach,
     region_bounds,
@@ -90,7 +89,6 @@ __all__ = [
     "ReachSpec",
     "Region",
     "RegionVerifier",
-    "RelaxedPMC",
     "RowDiagnostic",
     "SensitivityFunction",
     "StateLabel",

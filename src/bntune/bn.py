@@ -170,9 +170,6 @@ class BayesNet:
     def cpt_map(self) -> dict[str, CPT]:
         return {c.owner: c for c in self.cpts}
 
-    def topological_order(self) -> tuple[str, ...]:
-        return _toposort(self.variables)
-
 
 @dataclass(frozen=True)
 class ParamBN:
@@ -229,9 +226,6 @@ class ParamBN:
         if self.origin is None:
             raise NotWellFormed("this network does not record original parameter values")
         return dict(self.origin)
-
-    def topological_order(self) -> tuple[str, ...]:
-        return _toposort(self.variables)
 
 
 @dataclass(frozen=True)

@@ -38,22 +38,8 @@ class Verdict(str, Enum):
 
 
 @dataclass(frozen=True)
-class RelaxedPMC:
-    """A chain prepared for substitution; ``pmc`` is the original chain.
-
-    ``actions[s]`` is the single action of a parameter-free state, shared by
-    every box, and ``None`` for a parametric one.  ``parametric`` lists each
-    parametric state with its sorted own parameter names.
-    """
-
-    pmc: PMC
-    actions: tuple[tuple[tuple[tuple[int, float], ...], ...] | None, ...]
-    parametric: tuple[tuple[int, tuple[str, ...]], ...]
-
-
-@dataclass(frozen=True)
 class BoundMDP:
-    """Per-state endpoint substitutions of a relaxed chain.
+    """Per-state endpoint substitutions of a chain over one box.
 
     ``actions[s]`` holds one transition distribution per endpoint combination
     of the parameters local to state ``s`` (duplicates removed).
@@ -63,26 +49,21 @@ class BoundMDP:
     initial: int
     actions: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]
 
-    @property
-    def n_states(self) -> int:
-        return len(self.actions)
 
-
-def relax(pmc: PMC) -> RelaxedPMC:
-    """Check the chain for :func:`substitute` and share its box-independent part.
+def relax(pmc: PMC) -> PMC:
+    """Check that :func:`substitute` can bound the chain, and return it unchanged.
 
     Each state chooses a corner of its own parameters' intervals
     independently of the others, which relaxes a parameter shared across
-    states to one free value per state; the chain itself is kept.  The
-    parameter-free states' actions come from :attr:`PMC.lowered`, evaluated
-    once per chain.  Raises :class:`UnboundParameter` for an undeclared
+    states to one free value per state.  That needs no copy of the chain:
+    :attr:`PMC.lowered` already lists each parametric state with its own
+    parameters.  Raises :class:`UnboundParameter` for an undeclared
     parameter, :class:`TooLarge` for too many parameters in one state, and
     :class:`NotWellFormed` for a parameter-free state whose weights are not a
     sub-distribution.
     """
-    lowered = pmc.lowered
     names = set(pmc.parameter_names)
-    for _, local in lowered.parametric:
+    for _, local in pmc.lowered.parametric:
         unknown = [p for p in local if p not in names]
         if unknown:
             raise UnboundParameter(f"chain uses undeclared parameter(s) {unknown}")
@@ -90,20 +71,20 @@ def relax(pmc: PMC) -> RelaxedPMC:
             raise TooLarge(
                 f"{len(local)} parameters in one state exceed the guard of {LOCAL_PARAM_GUARD}"
             )
-    return RelaxedPMC(pmc, lowered.actions, lowered.parametric)
+    return pmc
 
 
-def substitute(relaxed: RelaxedPMC, region: Region) -> BoundMDP:
+def substitute(pmc: PMC, region: Region) -> BoundMDP:
     """Instantiate every endpoint combination of each state's own parameters.
 
     The region must give every parameter of the chain an interval inside the
     declared one.  Each weight is its exact value at the corner, rounded
     once, as the solver's rounding bound assumes.  Only the parametric states
-    are evaluated per box; the parameter-free states share the actions of
-    the chain's :attr:`PMC.lowered`, which :func:`relax` passes on.
+    of :attr:`PMC.lowered` are evaluated per box; the parameter-free states
+    share its actions.
     """
     choices: dict[str, tuple[Fraction, ...]] = {}
-    for name, (dlb, dub) in relaxed.pmc.params:
+    for name, (dlb, dub) in pmc.params:
         try:
             lb, ub = region.interval(name)
         except KeyError:
@@ -114,9 +95,8 @@ def substitute(relaxed: RelaxedPMC, region: Region) -> BoundMDP:
             )
         choices[name] = (lb,) if lb == ub else (lb, ub)
 
-    pmc = relaxed.pmc
-    all_actions = list(relaxed.actions)
-    for s, local in relaxed.parametric:
+    all_actions = list(pmc.lowered.actions)
+    for s, local in pmc.lowered.parametric:
         state_actions: dict[tuple[tuple[int, float], ...], None] = {}
         for corner in itertools.product(*(choices[name] for name in local)):
             state_actions[_distribution(pmc.edges[s], dict(zip(local, corner)), {})] = None
@@ -150,22 +130,21 @@ def extremal_reach(
 class RegionVerifier:
     """Checks many boxes against one constraint, reusing work across calls.
 
-    The relaxation and the solver's structure check and level order are
-    shared between calls, which matters when a partitioning loop verifies
-    thousands of sibling boxes.  Sharing the level order is sound because it
-    depends only on which edges the chain has, and every box's process keeps
-    exactly the chain's edges.  Both are taken from the chain, which builds
-    them once for all its callers (:attr:`PMC.lowered`, :meth:`PMC.solver`),
-    so a :func:`reach_prob` on the same chain, before or after, does not
-    repeat them.  The chain's solver has collapsed the states that no box
-    changes, the parameter-free ones, into affine forms, so each bound walks
-    only the chain's parametric skeleton.
+    The chain's lowering and the solver's structure check and level order
+    are shared between calls, which matters when a partitioning loop
+    verifies thousands of sibling boxes.  Sharing the level order is sound
+    because it depends only on which edges the chain has, and every box's
+    process keeps exactly the chain's edges.  Both are taken from the chain,
+    which builds them once for all its callers (:attr:`PMC.lowered`,
+    :meth:`PMC.solver`), so a :func:`reach_prob` on the same chain, before
+    or after, does not repeat them.  The chain's solver has collapsed the
+    states that no box changes, the parameter-free ones, into affine forms,
+    so each bound walks only the chain's parametric skeleton.
     """
 
     def __init__(self, pmc: PMC, spec: ReachSpec):
         self.spec = spec
-        self.relaxed = relax(pmc)
-        self.verifications = 0
+        self.pmc = relax(pmc)
         self.solver = pmc.solver(spec.targets)
 
     def _bound(self, mdp: BoundMDP, maximize: bool) -> float:
@@ -182,13 +161,12 @@ class RegionVerifier:
         their rounding error derived there, so the returned pair still
         brackets the true range.
         """
-        mdp = substitute(self.relaxed, region)
+        mdp = substitute(self.pmc, region)
         return self._bound(mdp, False), self._bound(mdp, True)
 
     def verify(self, region: Region) -> Verdict:
         """Classify the box, computing only the bounds the decision needs."""
-        self.verifications += 1
-        mdp = substitute(self.relaxed, region)
+        mdp = substitute(self.pmc, region)
         threshold = float(self.spec.threshold)
         if self.spec.direction == "<=":
             if self._bound(mdp, True) <= threshold - MARGIN:

@@ -70,8 +70,9 @@ class PMC:
     """A Markov chain whose transition probabilities are polynomials.
 
     The per-chain work shared by :func:`reach_prob`, :func:`lifting.relax`,
-    :class:`lifting.RegionVerifier` and :func:`sensitivity_function` is done
-    on first use and kept on the chain: its :attr:`lowered` form, and per
+    :func:`lifting.substitute`, :class:`lifting.RegionVerifier`,
+    :func:`refine.partition` and :func:`sensitivity_function` is done on
+    first use and kept on the chain: its :attr:`lowered` form, and per
     target set the one collapsed :class:`LeveledSolver` of :meth:`solver`.
     """
 

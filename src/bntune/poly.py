@@ -103,14 +103,6 @@ class Polynomial:
             raise UnsupportedDegree(f"{self} is not constant")
         return self.terms[0][1] if self.terms else Fraction(0)
 
-    def degree_in(self, name: str) -> int:
-        degree = 0
-        for mono, _ in self.terms:
-            for pname, exp in mono:
-                if pname == name:
-                    degree = max(degree, exp)
-        return degree
-
     @property
     def is_multiaffine(self) -> bool:
         return all(exp <= 1 for mono, _ in self.terms for _, exp in mono)
@@ -329,9 +321,6 @@ class Region:
 
     def interval(self, name: str) -> tuple[Fraction, Fraction]:
         return self.intervals[self._index[name]]
-
-    def widths(self) -> tuple[Fraction, ...]:
-        return tuple(ub - lb for lb, ub in self.intervals)
 
     def volume(self) -> Fraction:
         """Product of widths over the non-degenerate axes (1 if all degenerate)."""

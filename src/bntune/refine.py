@@ -66,8 +66,9 @@ def partition(
     the coverage goal until it has found at least one accepting box or
     classified the whole region, so accepting parts smaller than the ``1 -
     eta`` allowance cannot be skipped over.  Only live axes are bisected:
-    those of the parameters in ``verifier.relaxed.parametric``, the
-    verifier being built from ``pmc`` and ``spec`` when none is given.
+    those of the parameters in ``pmc.lowered.parametric``.  Of the
+    verifier, built from ``pmc`` and ``spec`` when none is given, only
+    ``verify`` is called.
 
     A box at bisection depth ``d`` is split on live axis ``d`` modulo their
     number, so the live axes take turns and every box at depth ``d`` holds
@@ -84,7 +85,7 @@ def partition(
         raise ValueError(f"guard must allow at least one verification, got {guard}")
     if verifier is None:
         verifier = RegionVerifier(pmc, spec)
-    on_edges = {name for _, local in verifier.relaxed.parametric for name in local}
+    on_edges = {name for _, local in pmc.lowered.parametric for name in local}
     live_axes = [
         i
         for i, (name, (lb, ub)) in enumerate(zip(region.params, region.intervals))

@@ -9,7 +9,7 @@ import bntune
 EXPORTS = [
     "BayesNet", "BoundMDP", "CPT", "Constraint", "DEFAULT_DELTA", "EntryCoord", "Hyper",
     "Instantiation", "IterationStats", "MARGIN", "ONE", "PMC", "ParamBN", "PartitionResult",
-    "Polynomial", "ROW_SUM_TOLERANCE", "ReachSpec", "Region", "RegionVerifier", "RelaxedPMC",
+    "Polynomial", "ROW_SUM_TOLERANCE", "ReachSpec", "Region", "RegionVerifier",
     "RowDiagnostic", "SensitivityFunction", "StateLabel", "Status", "TuneResult", "Variable",
     "Verdict", "ZERO", "as_fraction", "boxes_csv", "cd_exact", "compile_chain",
     "compile_tailored", "conditional_via_ratio", "d0_upper", "distance_cd", "distance_ec",

@@ -284,4 +284,4 @@ def test_constraint_satisfied_by():
 
 
 def test_parambn_topological_order(covid_pbn):
-    assert covid_pbn.topological_order() == ("COVID-19", "Symptoms", "Antigen", "PCR")
+    assert topological_order(covid_pbn) == ("COVID-19", "Symptoms", "Antigen", "PCR")

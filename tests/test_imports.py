@@ -4,11 +4,12 @@ A stdlib-only stand-in for a linter's unused-import check.  A name counts
 as used when it is read anywhere in the module, annotations included (also
 inside a quoted annotation), or listed in ``__all__``.  ``from __future__``
 imports are exempt, and so are the re-exports of the package's
-``__init__.py``.  Likewise every private top-level name of the package (a
-function, class or constant named ``_x``) is read somewhere in the package
-outside its own definition.  Importing the package must not load numpy,
-which only ``oracle.grid_min_distance`` needs; that function's numpy import
-is the one import of the package made inside a function.
+``__init__.py``.  Likewise every top-level name of the package (a function,
+class or constant) is read somewhere in the package outside its own
+definition, unless it is public and listed in ``__all__``.  Importing the
+package must not load numpy, which only ``oracle.grid_min_distance`` needs;
+that function's numpy import is the one import of the package made inside a
+function.
 """
 
 from __future__ import annotations
@@ -133,31 +134,56 @@ def _defined_names(node: ast.stmt) -> list[str]:
     return []
 
 
-def unused_private_names(sources: dict[str, str]) -> list[str]:
-    """Private top-level names of ``sources`` that nothing reads outside their definition.
+def unread_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of each top-level name that nothing reads outside its definition.
 
     A name defined in module ``m`` is read when another top-level statement
     of ``m`` reads it, or when another module imports it from ``m`` (which
-    the unused-import check then makes that module read).
+    the unused-import check then makes that module read) or reads it as an
+    attribute of ``m``.  The package's ``__init__`` does not count: it only
+    re-exports, and its imports are exempt from the unused-import check.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    imported = {
-        (node.module.rpartition(".")[2], alias.name)
-        for tree in trees.values() for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module
-        for alias in node.names
-    }
-    unused = []
+    imported = set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.update((node.module.rpartition(".")[2], a.name) for a in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                imported.add((node.value.id, node.attr))
+    unread = []
     for module, tree in trees.items():
         reads = [_read_names(node) for node in tree.body]
         for i, node in enumerate(tree.body):
             for name in _defined_names(node):
-                if not name.startswith("_") or name.startswith("__"):
+                if name.startswith("__"):
                     continue
                 elsewhere = any(name in seen for j, seen in enumerate(reads) if j != i)
                 if not elsewhere and (module, name) not in imported:
-                    unused.append(f"{module}.{name}")
-    return unused
+                    unread.append((module, name))
+    return unread
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level names (``_x``) of ``sources`` that nothing reads."""
+    return [f"{m}.{name}" for m, name in unread_names(sources) if name.startswith("_")]
+
+
+def unused_public_names(sources: dict[str, str]) -> list[str]:
+    """Public top-level names of ``sources`` that nothing reads and ``__all__`` omits.
+
+    ``__all__`` is the one that ``sources["__init__"]`` assigns.
+    """
+    exported = set()
+    for node in ast.parse(sources["__init__"]).body:
+        if isinstance(node, ast.Assign) and "__all__" in _defined_names(node):
+            exported.update(ast.literal_eval(node.value))
+    return [
+        f"{m}.{name}" for m, name in unread_names(sources)
+        if not name.startswith("_") and name not in exported
+    ]
 
 
 def test_private_names_are_all_used():
@@ -179,6 +205,30 @@ def test_the_check_finds_an_unused_private_name():
         "c": "def _USED():\n    return 1",
     }
     assert unused_private_names(sources) == ["a._UNUSED", "a._recursive", "b._Lone", "c._USED"]
+
+
+def test_public_names_are_exported_or_used():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unused_public_names(sources) == []
+
+
+def test_the_check_finds_an_unused_public_name():
+    sources = {
+        "__init__": "from . import b\nfrom .a import EXPORTED, reexported\n__all__ = ['EXPORTED', 'b']",
+        "a": "\n".join([
+            "EXPORTED = 1",
+            "LIMIT = 2",
+            "UNUSED = 3",
+            "def reexported():",
+            "    return LIMIT",
+            "def via_module():",
+            "    return 0",
+            "class Lone:",
+            "    pass",
+        ]),
+        "b": "from . import a\nvalue = a.via_module()",
+    }
+    assert unused_public_names(sources) == ["a.UNUSED", "a.reexported", "a.Lone", "b.value"]
 
 
 def test_importing_the_package_does_not_load_numpy():

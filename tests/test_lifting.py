@@ -74,20 +74,18 @@ def shared_param_chain():
 
 def test_relax_is_identity_for_state_local_parameters(covid_pbn, covid_constraint):
     pmc, _ = compile_tailored(covid_pbn, covid_constraint)
-    relaxed = relax(pmc)
-    assert relaxed.pmc is pmc
-    assert sorted(local for _, local in relaxed.parametric) == [("p",), ("q",)]
+    assert relax(pmc) is pmc
+    assert sorted(local for _, local in pmc.lowered.parametric) == [("p",), ("q",)]
 
 
 def test_relax_copies_parameters_shared_across_states():
     # Each state picks its own corner of the shared parameter, so the chain is
     # kept as it is and both states list ``t`` as their own parameter.
     _, pmc = shared_param_chain()
-    relaxed = relax(pmc)
-    assert relaxed.pmc is pmc
-    assert [local for _, local in relaxed.parametric] == [("t",), ("t",)]
-    for s, _ in relaxed.parametric:
-        assert relaxed.actions[s] is None
+    assert relax(pmc) is pmc
+    assert [local for _, local in pmc.lowered.parametric] == [("t",), ("t",)]
+    for s, _ in pmc.lowered.parametric:
+        assert pmc.lowered.actions[s] is None
 
 
 def test_relaxation_bounds_contain_the_shared_parameter_bounds():
@@ -464,9 +462,9 @@ def multiply_adds(solver: LeveledSolver, actions) -> int:
 def assert_no_more_work_than_the_whole_pass(pmc: PMC, spec: ReachSpec, box: Region) -> RegionVerifier:
     verifier = RegionVerifier(pmc, spec)
     whole = LeveledSolver(pmc.states, pmc.initial, pmc.edges, spec.targets)
-    actions = substitute(verifier.relaxed, box).actions
+    actions = substitute(pmc, box).actions
     assert multiply_adds(verifier.solver, actions) <= multiply_adds(whole, actions)
-    assert {s for s, _ in verifier.relaxed.parametric} <= set(verifier.solver._pass)
+    assert {s for s, _ in pmc.lowered.parametric} <= set(verifier.solver._pass)
     assert verifier.solver._pass[-1] == pmc.initial
     return verifier
 
@@ -477,7 +475,7 @@ def test_layered_6x6_pass_is_its_parametric_skeleton():
     pbn, constraint = build_layered_6x6()
     pmc, spec = compile_tailored(pbn, constraint)
     verifier = assert_no_more_work_than_the_whole_pass(pmc, spec, pbn.space())
-    assert len(verifier.relaxed.parametric) == 3
+    assert len(pmc.lowered.parametric) == 3
     assert len(verifier.solver._pass) == 5
     assert sorted(map(len, verifier.solver._forms.values())) == [2, 2]
 
@@ -671,16 +669,6 @@ def test_exact_threshold_stays_inconclusive(toy_pbn):
     # The margin keeps boundary regions inconclusive instead of guessing.
     assert verdict_of(toy_pbn, "<=", "3/5") is Verdict.INCONCLUSIVE
     assert verdict_of(toy_pbn, ">=", "1/5") is Verdict.INCONCLUSIVE
-
-
-def test_verifier_counts_verifications(toy_pbn):
-    pmc, yes = toy_chain(toy_pbn)
-    spec = ReachSpec(frozenset({yes}), "<=", Fraction(1, 2))
-    verifier = RegionVerifier(pmc, spec)
-    assert verifier.verifications == 0
-    verifier.verify(toy_box("1/5", "3/5"))
-    verifier.verify(toy_box("1/5", "2/5"))
-    assert verifier.verifications == 2
 
 
 def test_bounds_bracket_the_exact_range(toy_pbn):

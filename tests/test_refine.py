@@ -18,7 +18,7 @@ from bntune import (
     reach_prob,
 )
 from bntune.errors import CoverageUnreachable
-from bntune.lifting import RegionVerifier, Verdict, relax
+from bntune.lifting import RegionVerifier, Verdict
 from bntune.pmc import ReachSpec
 from bntune.refine import PartitionResult, boxes_csv, partition
 from conftest import random_constraint, random_net, random_parametrization, random_region, state_index
@@ -137,7 +137,7 @@ def test_eta_validation(toy_chain):
 def test_guard_validation(toy_chain):
     # A guard below one would still spend a verification before giving up.
     pmc, yes = toy_chain
-    stub = StubVerifier(pmc)
+    stub = StubVerifier()
     for guard in (0, -1):
         with pytest.raises(ValueError):
             partition(pmc, toy_spec(yes), FULL, guard=guard, verifier=stub)
@@ -169,11 +169,9 @@ def test_until_accepting_terminates_when_nothing_accepts(toy_chain):
 class StubVerifier:
     """Scripted verdicts: accept left of 0.35, reject right of 0.45.
 
-    Like a :class:`RegionVerifier`, it carries the chain's relaxation, from
-    which ``partition`` takes the live axes."""
+    It has only ``verify``, all that ``partition`` asks of a verifier."""
 
-    def __init__(self, pmc):
-        self.relaxed = relax(pmc)
+    def __init__(self):
         self.calls = 0
 
     def verify(self, box):
@@ -188,7 +186,7 @@ class StubVerifier:
 
 def test_injected_verifier_drives_the_partition(toy_chain):
     pmc, yes = toy_chain
-    stub = StubVerifier(pmc)
+    stub = StubVerifier()
     res = partition(pmc, toy_spec(yes), FULL, eta=Fraction(7, 10), verifier=stub)
     assert stub.calls == res.verifications
     assert res.coverage >= Fraction(7, 10)
@@ -257,7 +255,7 @@ def widest_axis_partition(pmc, spec, region, eta, *, guard, until_accepting=Fals
     axis that is widest relative to the input, the first one on ties, and
     count coverage from exact box volumes."""
     verifier = RegionVerifier(pmc, spec)
-    on_edges = {name for _, local in verifier.relaxed.parametric for name in local}
+    on_edges = {name for _, local in pmc.lowered.parametric for name in local}
     live = [
         i
         for i, (name, (lb, ub)) in enumerate(zip(region.params, region.intervals))
