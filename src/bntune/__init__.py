@@ -18,13 +18,11 @@ from .bn import (
     EntryCoord,
     Instantiation,
     ParamBN,
-    RowDiagnostic,
     Variable,
     instantiate,
     net_from_tables,
     parametrize,
     topological_order,
-    validate,
 )
 from .formats import float17, parse_constraint, parse_network, parse_param_spec
 from .lifting import (
@@ -89,7 +87,6 @@ __all__ = [
     "ReachSpec",
     "Region",
     "RegionVerifier",
-    "RowDiagnostic",
     "SensitivityFunction",
     "StateLabel",
     "Status",
@@ -131,6 +128,5 @@ __all__ = [
     "to_dot",
     "topological_order",
     "tune",
-    "validate",
     "verify_region",
 ]

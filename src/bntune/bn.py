@@ -1,9 +1,11 @@
 """Discrete Bayesian networks with (optionally parametric) probability tables.
 
-A plain :class:`BayesNet` has constant table entries.  Selected entries can be
-turned into named parameters with :func:`parametrize`; the remaining entries of
-each touched row are rescaled proportionally so every row stays a probability
-distribution for all parameter values in (0, 1).
+A :class:`ParamBN` is the one network type, and a plain :class:`BayesNet` is
+a ``ParamBN`` without parameters.  Whether a network is valid is decided once,
+when it is built, by one row rule (see :class:`ParamBN`).  Selected entries
+can be turned into named parameters with :func:`parametrize`; the remaining
+entries of each touched row co-vary proportionally, so every row stays a
+probability distribution for all parameter values in (0, 1).
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ Instantiation = Mapping[str, float | Fraction | int]
 
 DEFAULT_DELTA = Fraction(1, 10**6)
 
-#: Constant table rows may miss an exact unit sum by this much (parsed files
-#: round); rows that contain parameters must sum to one exactly.
+#: Constant table rows may miss an exact unit sum by this much (written
+#: decimals round) and are kept as written; rows that contain parameters must
+#: sum to one exactly.
 ROW_SUM_TOLERANCE = Fraction(1, 10**9)
 
 
@@ -114,22 +117,29 @@ def _check_tables(variables: tuple[Variable, ...], cpts: tuple[CPT, ...]) -> Non
         for key, row in table.rows:
             if len(row) != len(v.values):
                 raise NotWellFormed(f"row {key} of {v.name} has {len(row)} entries, expected {len(v.values)}")
-            total = Polynomial.constant(0)
-            parametric = False
-            for entry in row:
-                if not entry.is_multiaffine:
-                    raise UnsupportedDegree(f"entry in table of {v.name} is not multi-affine")
-                if entry.parameters:
-                    parametric = True
-                elif not (0 <= entry.constant_value() <= 1):
-                    raise NotWellFormed(f"entry {entry} in table of {v.name} is outside [0, 1]")
-                total = total + entry
-            if parametric:
-                if not (total.is_constant and total.constant_value() == 1):
-                    raise NotWellFormed(f"parametric row {key} of {v.name} does not sum to 1 symbolically")
-            else:
-                if abs(total.constant_value() - 1) > ROW_SUM_TOLERANCE:
-                    raise NotWellFormed(f"row {key} of {v.name} sums to {float(total.constant_value())}, not 1")
+            _check_row(v.name, key, row)
+
+
+def _check_row(owner: str, key: tuple[str, ...], row: tuple[Polynomial, ...]) -> None:
+    """The row rule: multi-affine entries, constants in [0, 1], and a unit sum.
+
+    A row that holds a parameter must sum to one symbolically; a constant row
+    may miss one by ``ROW_SUM_TOLERANCE``.  Raises :class:`NotWellFormed` (or
+    :class:`UnsupportedDegree`).
+    """
+    for entry in row:
+        if not entry.is_multiaffine:
+            raise UnsupportedDegree(f"entry in table of {owner} is not multi-affine")
+        if not entry.parameters and not (0 <= entry.constant_value() <= 1):
+            raise NotWellFormed(f"entry {entry} in table of {owner} is outside [0, 1]")
+    if any(entry.parameters for entry in row):
+        total = sum(row[1:], row[0])
+        if not (total.is_constant and total.constant_value() == 1):
+            raise NotWellFormed(f"parametric row {key} of {owner} does not sum to 1 symbolically")
+    else:
+        total = sum(entry.constant_value() for entry in row)
+        if abs(total - 1) > ROW_SUM_TOLERANCE:
+            raise NotWellFormed(f"row {key} of {owner} sums to {float(total)}, not 1")
 
 
 def _toposort(variables: tuple[Variable, ...]) -> tuple[str, ...]:
@@ -150,41 +160,23 @@ def _toposort(variables: tuple[Variable, ...]) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class BayesNet:
-    """A Bayesian network over discrete variables with constant table entries."""
-
-    variables: tuple[Variable, ...]
-    cpts: tuple[CPT, ...]
-
-    def __post_init__(self):
-        _check_tables(self.variables, self.cpts)
-        for table in self.cpts:
-            if table.parameters:
-                raise NotWellFormed(f"table of {table.owner} contains parameters; expected constants")
-
-    @cached_property
-    def variable_map(self) -> dict[str, Variable]:
-        return {v.name: v for v in self.variables}
-
-    @cached_property
-    def cpt_map(self) -> dict[str, CPT]:
-        return {c.owner: c for c in self.cpts}
-
-
-@dataclass(frozen=True)
 class ParamBN:
     """A Bayesian network whose table entries are multi-affine polynomials.
 
     ``params`` fixes the parameter order and the closed interval each
-    parameter may range over; ``origin`` (when known) maps each parameter to
-    the constant value it replaced, which may lie outside its interval.
-    Every row must sum to one: symbolically when it holds a parameter, and
-    within ``ROW_SUM_TOLERANCE`` when it is constant.
+    parameter may range over (no parameters by default); ``origin`` (when
+    known) maps each parameter to the constant value it replaced, which may
+    lie outside its interval.  Construction decides validity, once: the
+    tables match the variables, the parent graph is acyclic, every entry's
+    parameter is declared, and every row obeys one rule.  A row that holds a
+    parameter sums to one symbolically; a constant row has entries in
+    [0, 1] and may miss one by ``ROW_SUM_TOLERANCE``, and it is kept exactly
+    as written.
     """
 
     variables: tuple[Variable, ...]
     cpts: tuple[CPT, ...]
-    params: tuple[tuple[str, tuple[Fraction, Fraction]], ...]
+    params: tuple[tuple[str, tuple[Fraction, Fraction]], ...] = ()
     origin: tuple[tuple[str, Fraction], ...] | None = None
 
     def __post_init__(self):
@@ -229,6 +221,21 @@ class ParamBN:
 
 
 @dataclass(frozen=True)
+class BayesNet(ParamBN):
+    """A :class:`ParamBN` without parameters: every table entry is a constant.
+
+    Its one own check is that it declares no parameter and no origin; the
+    tables are checked as for any ``ParamBN``, so an entry that names a
+    parameter raises :class:`UnboundParameter`.
+    """
+
+    def __post_init__(self):
+        if self.params or self.origin is not None:
+            raise NotWellFormed("a BayesNet declares no parameters and no origin")
+        super().__post_init__()
+
+
+@dataclass(frozen=True)
 class Constraint:
     """``Pr(hypothesis | evidence) <= threshold`` (or ``>=``).
 
@@ -255,7 +262,7 @@ class Constraint:
         if not (0 <= self.threshold <= 1):
             raise NotWellFormed(f"threshold {self.threshold} is outside [0, 1]")
 
-    def check_against(self, net: BayesNet | ParamBN) -> None:
+    def check_against(self, net: ParamBN) -> None:
         for var, value in self.hypothesis + self.evidence:
             if var not in net.variable_map:
                 raise UnknownValue(f"unknown variable {var!r}")
@@ -266,16 +273,6 @@ class Constraint:
         if self.direction == "<=":
             return probability <= self.threshold
         return probability >= self.threshold
-
-
-@dataclass(frozen=True)
-class RowDiagnostic:
-    """One validity finding for a table row over a region."""
-
-    owner: str
-    parent_values: tuple[str, ...]
-    kind: str  # "entry-range": the only finding; row sums are checked at construction
-    message: str
 
 
 def net_from_tables(
@@ -323,14 +320,18 @@ def parametrize(
     """Turn the given table entries into parameters with proportional co-variation.
 
     Each selected entry with original value t becomes a fresh parameter x; the
-    other entries r of the same row are scaled to r * (1 - x) / (1 - t), which
-    keeps the row a distribution, preserves zeros, and reproduces the original
-    table at x = t.  Two selected entries may share a name (via ``names``) only
-    when their original values are equal, which models one quantity reused in
-    several rows.
+    other entries r of the same row co-vary in proportion to their share of
+    the rest of the row, r * (1 - x) / S with S the sum of those entries.  So
+    every parametrized row sums to one symbolically, zeros stay zero, and the
+    original table comes back at x = t.  An exact row has S = 1 - t; a row
+    that misses one by up to ``ROW_SUM_TOLERANCE`` parametrizes to an exact
+    unit sum.  Two selected entries may share a name (via ``names``) only
+    when their original values are equal, which models one quantity reused
+    in several rows.
 
-    Raises :class:`ZeroEntry` for entries at 0 or 1, and
-    :class:`UnsupportedMultiEntryRow` when two selected entries share a row.
+    Raises :class:`ZeroEntry` for entries at 0 or 1 and for rows whose other
+    entries sum to 0, and :class:`UnsupportedMultiEntryRow` when two selected
+    entries share a row.
     """
     modif = list(modif)
     if names is None:
@@ -377,9 +378,14 @@ def parametrize(
                 new_rows.append((key, row))
                 continue
             index = coord[2]
-            pivot = row[index].constant_value()
-            if pivot == 0 or pivot == 1:
-                raise ZeroEntry(f"entry {v.name}{key}[{index}] has value {pivot}; cannot co-vary")
+            values = [e.constant_value() for e in row]
+            pivot = values[index]
+            rest = sum(values) - pivot
+            if pivot == 0 or pivot == 1 or rest == 0:
+                raise ZeroEntry(
+                    f"entry {v.name}{key}[{index}] has value {pivot} and the rest of its row "
+                    f"sums to {rest}; cannot co-vary"
+                )
             name = coord_names[coord]
             if name in origin:
                 if origin[name] != pivot:
@@ -391,9 +397,8 @@ def parametrize(
                 origin[name] = pivot
                 param_order.append(name)
             x = Polynomial.parameter(name)
-            scale = [e.constant_value() / (1 - pivot) for e in row]
             new_row = tuple(
-                x if i == index else (Polynomial.constant(1) - x) * scale[i]
+                x if i == index else (Polynomial.constant(1) - x) * (values[i] / rest)
                 for i in range(len(row))
             )
             new_rows.append((key, new_row))
@@ -447,35 +452,10 @@ def instantiate(pbn: ParamBN, u: Instantiation) -> BayesNet:
     return BayesNet(pbn.variables, tuple(new_cpts))
 
 
-def validate(pbn: ParamBN, region: Region) -> list[RowDiagnostic]:
-    """Check that every table entry stays within [0, 1] over ``region``.
-
-    Returns one ``"entry-range"`` diagnostic per entry that leaves [0, 1]
-    somewhere in the region; an empty list means the parametrization is
-    valid on the region.  Row sums need no check here: :class:`ParamBN`
-    rejects any row that does not sum to one.
-    """
-    diagnostics: list[RowDiagnostic] = []
-    for table in pbn.cpts:
-        for key, row in table.rows:
-            for index, entry in enumerate(row):
-                lo, hi = entry.bounds(region)
-                if lo < 0 or hi > 1:
-                    diagnostics.append(
-                        RowDiagnostic(
-                            table.owner,
-                            key,
-                            "entry-range",
-                            f"entry {index} spans [{float(lo)}, {float(hi)}] over the region",
-                        )
-                    )
-    return diagnostics
-
-
 def topological_order(
-    net: BayesNet | ParamBN, preferred: Sequence[str] | None = None
+    net: ParamBN, preferred: Sequence[str] | None = None
 ) -> tuple[str, ...]:
-    """The declaration-order topological sort, or validate a user-supplied order."""
+    """The declaration-order topological sort, or check a user-supplied order."""
     if preferred is None:
         return _toposort(net.variables)
     order = tuple(preferred)

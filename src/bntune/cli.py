@@ -72,9 +72,7 @@ def render_json(payload: dict) -> str:
 
 
 def _load_net(args) -> BayesNet:
-    return parse_network(
-        Path(args.network).read_text(), renormalize=getattr(args, "renormalize", False)
-    )
+    return parse_network(Path(args.network).read_text())
 
 
 def _load_pbn(args, net: BayesNet) -> ParamBN | None:
@@ -264,11 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("network", help="network file (var/cpt blocks)")
-    common.add_argument(
-        "--renormalize",
-        action="store_true",
-        help="exactly rescale table rows that miss a unit sum by at most 1e-9",
-    )
     common.add_argument("--order", help="comma-separated topological variable order")
     common.add_argument(
         "--delta",

@@ -64,10 +64,6 @@ class EmptyInput(Error):
     """An operation that needs at least one element received an empty collection."""
 
 
-class RowSumError(Error):
-    """A probability table row does not sum to one."""
-
-
 class UnknownValue(Error):
     """A variable or value name does not exist in the network."""
 

@@ -18,7 +18,10 @@ A parameter file selects tunable entries::
 A constraint is a single line like ``P(Covid=no | Antigen=pos & PCR=pos) <= 0.009``.
 ``#`` starts a comment that runs to the end of the line.  All numbers are read
 exactly (decimal strings become exact rationals); a decimal exponent above
-10 000 in magnitude is a :class:`ParseError`.
+10 000 in magnitude is a :class:`ParseError`.  The parsers raise only
+:class:`ParseError`: with the line and column of the offending token where
+one token is at fault, and chained (``from``) to the error of the object
+being built otherwise.
 """
 
 from __future__ import annotations
@@ -30,15 +33,21 @@ from fractions import Fraction
 from .bn import (
     CPT,
     DEFAULT_DELTA,
-    ROW_SUM_TOLERANCE,
     BayesNet,
     Constraint,
     EntryCoord,
     ParamBN,
     Variable,
+    _check_row,
     parametrize,
 )
-from .errors import NotWellFormed, ParseError, RowSumError, UnknownValue
+from .errors import (
+    NotWellFormed,
+    ParseError,
+    UnknownValue,
+    UnsupportedMultiEntryRow,
+    ZeroEntry,
+)
 from .poly import Polynomial, as_fraction
 
 
@@ -138,18 +147,18 @@ class _Scanner:
         except ValueError as exc:
             raise ParseError(str(exc), token.line, token.column) from None
 
-    def label(self) -> str:
+    def label(self) -> _Token:
         """A name used as a variable/value label (numbers are allowed as labels)."""
         token = self.peek()
         if token.kind not in ("name", "number"):
             raise ParseError(f"expected a name, got {token.text or 'end of input'!r}",
                              token.line, token.column)
-        return self.advance().text
+        return self.advance()
 
     def label_list(self, terminator: str) -> list[str]:
-        labels = [self.label()]
+        labels = [self.label().text]
         while self.accept(","):
-            labels.append(self.label())
+            labels.append(self.label().text)
         self.expect(terminator)
         return labels
 
@@ -157,42 +166,47 @@ class _Scanner:
 # -- network files --------------------------------------------------------------
 
 
-def parse_network(text: str, *, renormalize: bool = False) -> BayesNet:
+def parse_network(text: str) -> BayesNet:
     """Parse a network file.
 
-    Table rows must sum to one exactly; rows off by at most 1e-9 (as written
-    decimal files often are) are rescaled exactly when ``renormalize`` is set
-    and rejected otherwise.
+    Each table row is checked where it is read, by the network's one row
+    rule (:class:`ParamBN`): a row that misses a unit sum by at most
+    ``ROW_SUM_TOLERANCE`` (1e-9), as written decimals often do, is kept
+    exactly as written; one that misses by more raises :class:`ParseError`
+    at the row's line and column.
     """
     scanner = _Scanner(text)
-    variables: list[Variable] = []
-    tables: dict[str, list[tuple[tuple[str, ...], tuple[Polynomial, ...]]]] = {}
+    variables: list[tuple[Variable, _Token]] = []
+    tables: dict[str, tuple[_Token, list]] = {}
     while scanner.peek().kind != "end":
         keyword = scanner.expect(kind="name", what="'var' or 'cpt'")
         if keyword.text == "var":
             variables.append(_parse_var_block(scanner))
         elif keyword.text == "cpt":
-            owner, rows = _parse_cpt_block(scanner, renormalize)
-            if owner in tables:
-                raise ParseError(f"duplicate table for {owner}", keyword.line, keyword.column)
-            tables[owner] = rows
+            owner, rows = _parse_cpt_block(scanner)
+            if owner.text in tables:
+                raise ParseError(f"duplicate table for {owner.text}", keyword.line, keyword.column)
+            tables[owner.text] = (owner, rows)
         else:
             raise ParseError(
                 f"expected 'var' or 'cpt', got {keyword.text!r}", keyword.line, keyword.column
             )
-    declared = {v.name for v in variables}
-    for owner in tables:
+    declared = {v.name for v, _ in variables}
+    for owner, (token, _) in tables.items():
         if owner not in declared:
-            raise NotWellFormed(f"table for undeclared variable {owner!r}")
-    missing = [v.name for v in variables if v.name not in tables]
-    if missing:
-        raise NotWellFormed(f"no table for variable(s) {missing}")
-    cpts = tuple(CPT(v.name, tuple(tables[v.name])) for v in variables)
-    return BayesNet(tuple(variables), cpts)
+            raise ParseError(f"table for undeclared variable {owner!r}", token.line, token.column)
+    for v, token in variables:
+        if v.name not in tables:
+            raise ParseError(f"no table for variable {v.name!r}", token.line, token.column)
+    cpts = tuple(CPT(v.name, tuple(tables[v.name][1])) for v, _ in variables)
+    try:
+        return BayesNet(tuple(v for v, _ in variables), cpts)
+    except NotWellFormed as exc:
+        raise ParseError(str(exc)) from exc
 
 
-def _parse_var_block(scanner: _Scanner) -> Variable:
-    name = scanner.expect(kind="name", what="a variable name").text
+def _parse_var_block(scanner: _Scanner) -> tuple[Variable, _Token]:
+    name = scanner.expect(kind="name", what="a variable name")
     scanner.expect("{")
     values: list[str] | None = None
     parents: list[str] = []
@@ -208,12 +222,15 @@ def _parse_var_block(scanner: _Scanner) -> Variable:
                 f"unknown clause {clause.text!r} in a var block", clause.line, clause.column
             )
     if values is None:
-        raise NotWellFormed(f"variable {name} declares no values")
-    return Variable(name, tuple(values), tuple(parents))
+        raise ParseError(f"variable {name.text} declares no values", name.line, name.column)
+    try:
+        return Variable(name.text, tuple(values), tuple(parents)), name
+    except NotWellFormed as exc:
+        raise ParseError(str(exc), name.line, name.column) from exc
 
 
-def _parse_cpt_block(scanner: _Scanner, renormalize: bool):
-    owner = scanner.expect(kind="name", what="a variable name").text
+def _parse_cpt_block(scanner: _Scanner) -> tuple[_Token, list]:
+    owner = scanner.expect(kind="name", what="a variable name")
     scanner.expect("{")
     rows = []
     while not scanner.accept("}"):
@@ -224,25 +241,13 @@ def _parse_cpt_block(scanner: _Scanner, renormalize: bool):
         while scanner.accept(","):
             numbers.append(scanner.number("a probability"))
         scanner.expect(";")
-        rows.append((key, _checked_row(owner, key, numbers, renormalize, opening)))
+        row = tuple(Polynomial.constant(n) for n in numbers)
+        try:
+            _check_row(owner.text, key, row)
+        except NotWellFormed as exc:
+            raise ParseError(str(exc), opening.line, opening.column) from exc
+        rows.append((key, row))
     return owner, rows
-
-
-def _checked_row(owner, key, numbers: list[Fraction], renormalize: bool, token: _Token):
-    total = sum(numbers)
-    if total != 1:
-        if abs(total - 1) > ROW_SUM_TOLERANCE:
-            raise RowSumError(
-                f"row {owner}{key} sums to {float(total)}, not 1 "
-                f"(line {token.line})"
-            )
-        if not renormalize:
-            raise RowSumError(
-                f"row {owner}{key} sums to {float(total)}; pass renormalize "
-                f"to rescale it exactly (line {token.line})"
-            )
-        numbers = [n / total for n in numbers]
-    return tuple(Polynomial.constant(n) for n in numbers)
 
 
 # -- parameter selections ---------------------------------------------------------
@@ -253,7 +258,8 @@ def parse_param_spec(text: str, net: BayesNet, *, delta=DEFAULT_DELTA) -> ParamB
 
     Several ``entry`` clauses in one ``param`` block share the parameter (the
     entries must have equal original values); ``interval`` defaults to
-    ``[delta, 1-delta]``.
+    ``[delta, 1-delta]``.  Errors of :func:`parametrize` are re-raised as
+    :class:`ParseError`.
     """
     scanner = _Scanner(text)
     coords: list[EntryCoord] = []
@@ -262,9 +268,10 @@ def parse_param_spec(text: str, net: BayesNet, *, delta=DEFAULT_DELTA) -> ParamB
     seen: set[str] = set()
     while scanner.peek().kind != "end":
         scanner.expect("param")
-        pname = scanner.expect(kind="name", what="a parameter name").text
+        ptoken = scanner.expect(kind="name", what="a parameter name")
+        pname = ptoken.text
         if pname in seen:
-            raise NotWellFormed(f"duplicate parameter block {pname!r}")
+            raise ParseError(f"duplicate parameter block {pname!r}", ptoken.line, ptoken.column)
         seen.add(pname)
         scanner.expect("{")
         entries = 0
@@ -297,26 +304,26 @@ def parse_param_spec(text: str, net: BayesNet, *, delta=DEFAULT_DELTA) -> ParamB
                     f"unknown clause {clause.text!r} in a param block", clause.line, clause.column
                 )
         if entries == 0:
-            raise NotWellFormed(f"parameter {pname} selects no entry")
-    return parametrize(net, coords, names, intervals, delta=delta)
+            raise ParseError(f"parameter {pname} selects no entry", ptoken.line, ptoken.column)
+    try:
+        return parametrize(net, coords, names, intervals, delta=delta)
+    except (NotWellFormed, UnsupportedMultiEntryRow, ZeroEntry) as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _parse_entry(scanner: _Scanner, net: BayesNet) -> EntryCoord:
-    var_token = scanner.peek()
-    var = scanner.expect(kind="name", what="a variable name").text
+    var = scanner.expect(kind="name", what="a variable name")
     scanner.expect("(")
     key: tuple[str, ...] = () if scanner.accept(")") else tuple(scanner.label_list(")"))
     scanner.expect(":")
     value = scanner.label()
     scanner.expect(";")
-    variable = net.variable_map.get(var)
+    variable = net.variable_map.get(var.text)
     if variable is None:
-        raise UnknownValue(f"unknown variable {var!r} (line {var_token.line})")
-    try:
-        index = variable.value_index(value)
-    except NotWellFormed:
-        raise UnknownValue(f"variable {var} has no value {value!r} (line {var_token.line})") from None
-    return (var, key, index)
+        raise ParseError(f"unknown variable {var.text!r}", var.line, var.column)
+    if value.text not in variable.values:
+        raise ParseError(f"variable {var.text} has no value {value.text!r}", value.line, value.column)
+    return (var.text, key, variable.values.index(value.text))
 
 
 # -- constraints ------------------------------------------------------------------
@@ -326,10 +333,11 @@ _CONSTRAINT_RE = re.compile(
 )
 
 
-def parse_constraint(text: str, net: BayesNet | ParamBN | None = None) -> Constraint:
+def parse_constraint(text: str, net: ParamBN | None = None) -> Constraint:
     """Parse ``P(Var=val & ... | Var=val & ...) <= number`` (evidence optional).
 
-    With ``net`` given, variable and value names are checked against it.
+    With ``net`` given, variable and value names are checked against it.  An
+    invalid constraint or an unknown name raises :class:`ParseError`.
     """
     match = _CONSTRAINT_RE.match(text)
     if match is None:
@@ -346,9 +354,12 @@ def parse_constraint(text: str, net: BayesNet | ParamBN | None = None) -> Constr
         threshold = as_fraction(match.group("thr"))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad threshold {match.group('thr')!r}") from None
-    constraint = Constraint(hypothesis, evidence, match.group("dir"), threshold)
-    if net is not None:
-        constraint.check_against(net)
+    try:
+        constraint = Constraint(hypothesis, evidence, match.group("dir"), threshold)
+        if net is not None:
+            constraint.check_against(net)
+    except (NotWellFormed, UnknownValue) as exc:
+        raise ParseError(str(exc)) from exc
     return constraint
 
 

@@ -21,7 +21,7 @@ ENUMERATION_GUARD = 2**22
 Literals = Sequence[tuple[str, str]]
 
 
-def _joint_size(net: BayesNet | ParamBN) -> int:
+def _joint_size(net: ParamBN) -> int:
     size = 1
     for v in net.variables:
         size *= len(v.values)
@@ -45,7 +45,7 @@ def _prepared(net: BayesNet):
     return positions, prepared
 
 
-def _literal_indices(net: BayesNet | ParamBN, literals: Literals) -> list[tuple[int, int]]:
+def _literal_indices(net: ParamBN, literals: Literals) -> list[tuple[int, int]]:
     positions = {v.name: i for i, v in enumerate(net.variables)}
     out = []
     for var, value in literals:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .bn import BayesNet, Constraint, Instantiation, ParamBN, topological_order
+from .bn import Constraint, Instantiation, ParamBN, topological_order
 from .errors import (
     EvidenceImpossible,
     NotWellFormed,
@@ -156,11 +156,6 @@ class ReachSpec:
         return probability >= self.threshold
 
 
-def _net_parts(net: BayesNet | ParamBN):
-    params = getattr(net, "params", ())
-    return net.variables, net.cpt_map, net.variable_map, tuple(params)
-
-
 def _retained_sets(order: Sequence[str], variable_map) -> list[tuple[str, ...]]:
     """Per level, which already-expanded variables the state still labels.
 
@@ -185,8 +180,8 @@ class _Builder:
     only the ancestral set of the hypothesis and evidence variables.
     """
 
-    def __init__(self, net, order, constraint: Constraint | None):
-        self.variables, self.cpt_map, self.variable_map, self.params = _net_parts(net)
+    def __init__(self, net: ParamBN, order, constraint: Constraint | None):
+        self.cpt_map, self.variable_map, self.params = net.cpt_map, net.variable_map, net.params
         self.order = topological_order(net, order)
         self.constraint = constraint
         self.evidence = dict(constraint.evidence) if constraint else {}
@@ -200,8 +195,7 @@ class _Builder:
                     relevant.update(self.variable_map[name].parents)
             self.order = tuple(v for v in self.order if v in relevant)
         self.retained = _retained_sets(self.order, self.variable_map)
-        origin = getattr(net, "origin", None)
-        self.point = None if origin is None else dict(origin)
+        self.point = None if net.origin is None else dict(net.origin)
         self.states: list[StateLabel] = []
         self.index: dict[StateLabel, int] = {}
         self.edges: list[dict[int, Polynomial]] = []
@@ -282,7 +276,7 @@ class _Builder:
         return PMC(tuple(self.states), initial, packed, self.params), frontier
 
 
-def compile_chain(net: BayesNet | ParamBN, order: Sequence[str] | None = None) -> PMC:
+def compile_chain(net: ParamBN, order: Sequence[str] | None = None) -> PMC:
     """Compile a network into its level-structured chain.
 
     ``order`` must be a topological order of the variables (default: the
@@ -293,7 +287,7 @@ def compile_chain(net: BayesNet | ParamBN, order: Sequence[str] | None = None) -
 
 
 def compile_tailored(
-    net: BayesNet | ParamBN,
+    net: ParamBN,
     constraint: Constraint,
     order: Sequence[str] | None = None,
 ) -> tuple[PMC, ReachSpec]:

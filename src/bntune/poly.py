@@ -333,13 +333,6 @@ class Region:
     def center(self) -> dict[str, Fraction]:
         return {n: (lb + ub) / 2 for n, (lb, ub) in zip(self.params, self.intervals)}
 
-    def contains(self, u: Mapping[str, Rational | float]) -> bool:
-        for name, (lb, ub) in zip(self.params, self.intervals):
-            value = _binary_fraction(u[name])
-            if not (lb <= value <= ub):
-                return False
-        return True
-
     # -- geometry ----------------------------------------------------------
 
     def restrict(self, names: Sequence[str]) -> "Region":

@@ -10,15 +10,14 @@ EXPORTS = [
     "BayesNet", "BoundMDP", "CPT", "Constraint", "DEFAULT_DELTA", "EntryCoord", "Hyper",
     "Instantiation", "IterationStats", "MARGIN", "ONE", "PMC", "ParamBN", "PartitionResult",
     "Polynomial", "ROW_SUM_TOLERANCE", "ReachSpec", "Region", "RegionVerifier",
-    "RowDiagnostic", "SensitivityFunction", "StateLabel", "Status", "TuneResult", "Variable",
+    "SensitivityFunction", "StateLabel", "Status", "TuneResult", "Variable",
     "Verdict", "ZERO", "as_fraction", "boxes_csv", "cd_exact", "compile_chain",
     "compile_tailored", "conditional_via_ratio", "d0_upper", "distance_cd", "distance_ec",
     "errors", "expand_region_cd", "expand_region_ec", "extremal_reach", "float17",
     "grid_min_distance", "infer", "instantiate", "joint_table", "minimal_instantiation",
     "net_from_tables", "oracle", "parametrize", "parse_constraint", "parse_network",
     "parse_param_spec", "partition", "reach_prob", "region_bounds", "relax",
-    "sensitivity_function", "substitute", "to_dot", "topological_order", "tune", "validate",
-    "verify_region",
+    "sensitivity_function", "substitute", "to_dot", "topological_order", "tune", "verify_region",
 ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,15 @@ from bntune import (
     Constraint,
     Polynomial,
     Region,
+    RegionVerifier,
+    Verdict,
+    compile_tailored,
     instantiate,
     net_from_tables,
     parametrize,
     topological_order,
-    validate,
 )
-from bntune.bn import CPT, ParamBN, Variable
+from bntune.bn import CPT, BayesNet, ParamBN, Variable
 from bntune.errors import (
     BadOrder,
     NotWellFormed,
@@ -26,7 +29,7 @@ from bntune.errors import (
     UnsupportedMultiEntryRow,
     ZeroEntry,
 )
-from conftest import CP, CQ
+from conftest import CP, CQ, random_net, random_parametrization
 
 P = Polynomial.parameter("p")
 X = Polynomial.parameter("x")
@@ -104,7 +107,52 @@ def test_covariation_preserves_zeros():
     pbn = parametrize(net, [("A", (), 0)], {("A", (), 0): "x"})
     row = pbn.cpt_map["A"].row(())
     assert row == (X, ONE - X, Polynomial.constant(0))
-    assert not validate(pbn, pbn.space())
+    for entry in row:
+        lo, hi = entry.bounds(pbn.space())
+        assert 0 <= lo <= hi <= 1
+
+
+def test_parametrize_near_unit_row_sums_to_one():
+    # The row misses one by 1e-10; its co-varied form sums to one exactly.
+    net = net_from_tables(
+        [("A", ("a", "b", "c"), ())],
+        {"A": {(): ("0.3333333333", "0.3333333333", "0.3333333333")}},
+    )
+    pbn = parametrize(net, [("A", (), 0)], {("A", (), 0): "x"})
+    row = pbn.cpt_map["A"].row(())
+    assert sum(row[1:], row[0]) == ONE
+    half = (ONE - X) * Fraction(1, 2)
+    assert row == (X, half, half)
+
+
+def test_parametrize_rejects_a_row_whose_rest_is_zero():
+    net = net_from_tables([("A", ("a", "b"), ())], {"A": {(): ("0.9999999995", "0")}})
+    with pytest.raises(ZeroEntry, match="sums to 0"):
+        parametrize(net, [("A", (), 0)])
+
+
+def one_minus_t_row(row, index, name):
+    """The co-variation r * (1 - x) / (1 - t), which assumes an exact row."""
+    x = Polynomial.parameter(name)
+    t = row[index].constant_value()
+    return tuple(
+        x if i == index else (ONE - x) * (e.constant_value() / (1 - t)) for i, e in enumerate(row)
+    )
+
+
+def test_parametrize_on_exact_rows_equals_the_one_minus_t_formula():
+    rng = random.Random(16)
+    for _ in range(300):
+        net = random_net(rng)
+        pbn = random_parametrization(rng, net)
+        bare = {Polynomial.parameter(name): name for name in pbn.parameter_names}
+        for before, after in zip(net.cpts, pbn.cpts):
+            for (key, row), (_, new_row) in zip(before.rows, after.rows):
+                pivots = [(i, bare[e]) for i, e in enumerate(new_row) if e in bare]
+                if pivots:
+                    assert new_row == one_minus_t_row(row, *pivots[0]), (before.owner, key)
+                else:
+                    assert new_row == row
 
 
 def test_parametrize_default_names(covid_net):
@@ -181,24 +229,31 @@ def test_instantiate_requires_exactly_the_parameters(toy_pbn):
         instantiate(toy_pbn, {"x": 0.3, "y": 0.4})
 
 
-def test_validate_clean_parametrization(covid_pbn):
-    assert validate(covid_pbn, covid_pbn.space()) == []
-
-
-def test_validate_flags_entries_leaving_unit_interval():
+def test_verifier_rejects_a_box_where_an_entry_leaves_the_unit_interval():
+    # A = (2x, 1 - 2x) is a distribution only for x <= 1/2.  The verifier
+    # evaluates the entries on every box it is given, which is the check.
     two_x = Polynomial.constant(2) * X
     pbn = ParamBN(
         (Variable("A", ("a", "b"), ()),),
         (CPT("A", (((), (two_x, ONE - two_x)),)),),
-        (("x", (Fraction(4, 10), Fraction(6, 10))),),
-        (("x", Fraction(1, 2)),),
+        (("x", (Fraction(2, 5), Fraction(3, 5))),),
     )
-    diags = validate(pbn, pbn.space())
-    assert [d.kind for d in diags] == ["entry-range", "entry-range"]
-    assert diags[0].owner == "A" and diags[0].parent_values == ()
-    # On a smaller region both entries stay within [0, 1].
-    narrow = Region.from_bounds({"x": (Fraction(2, 5), Fraction(1, 2))})
-    assert validate(pbn, narrow) == []
+    chain, spec = compile_tailored(pbn, Constraint((("A", "a"),), (), "<=", Fraction(7, 10)))
+    verifier = RegionVerifier(chain, spec)
+    with pytest.raises(NotWellFormed):
+        verifier.verify(Region.from_bounds({"x": (Fraction(11, 20), Fraction(3, 5))}))
+    # On [2/5, 1/2] both entries stay within [0, 1], and P(A=a) = 2x >= 4/5.
+    inside = Region.from_bounds({"x": (Fraction(2, 5), Fraction(1, 2))})
+    assert verifier.verify(inside) is Verdict.REJECTING
+
+
+def test_bayes_net_is_a_param_bn_without_parameters(covid_net):
+    assert isinstance(covid_net, ParamBN)
+    assert covid_net.params == () and covid_net.origin is None
+    with pytest.raises(NotWellFormed):
+        BayesNet(covid_net.variables, covid_net.cpts, (("x", (Fraction(1, 4), Fraction(3, 4))),))
+    with pytest.raises(UnboundParameter):
+        BayesNet((Variable("A", ("a", "b"), ()),), (CPT("A", (((), (X, ONE - X)),)),))
 
 
 def test_symbolic_row_sum_enforced_at_construction():

@@ -6,9 +6,14 @@ import json
 import subprocess
 import sys
 
+from fractions import Fraction
+
 import pytest
 
+from bntune.bn import instantiate
 from bntune.cli import main, render_json
+from bntune.formats import parse_constraint, parse_network, parse_param_spec
+from bntune.oracle import infer
 
 from conftest import (
     COVID_CONSTRAINT_TEXT,
@@ -391,17 +396,36 @@ def test_bad_constraint_text(capsys, covid_files):
 
 
 def test_renormalize_flag(capsys, tmp_path):
+    # A row that misses one by 1e-10 is read as written; there is no flag.
     net = tmp_path / "offbyabit.net"
     net.write_text("var A { values: a, b; } cpt A { (): 0.3333333333, 0.6666666666; }")
     code, payload = run_cli(capsys, "infer", net, "-c", "P(A=a) <= 0.5")
-    assert code == 1
-    assert payload["status"] == "error"
-    code, payload = run_cli(
-        capsys, "infer", net, "--renormalize", "-c", "P(A=a) <= 0.5"
-    )
     assert code == 0
     assert payload["probability"] == pytest.approx(1 / 3, abs=1e-12)
     assert payload["satisfied"] is True
+    code, payload = run_cli(
+        capsys, "infer", net, "--renormalize", "-c", "P(A=a) <= 0.5"
+    )
+    assert (code, payload) == (1, None)
+
+
+def test_tune_on_near_unit_rows(capsys, tmp_path):
+    # Both tuned rows miss one by at most 5e-10; each parametrizes to an exact
+    # unit sum, and the answer is the one for the exact rows.
+    text = COVID_NET_TEXT.replace("(yes, yes): 0.72, 0.28;", "(yes, yes): 0.72, 0.2799999995;")
+    text = text.replace("(yes): 0.95, 0.05;", "(yes): 0.95, 0.0499999999;")
+    assert "0.2799999995" in text and "0.0499999999" in text
+    net, params = tmp_path / "near.net", tmp_path / "near.params"
+    net.write_text(text)
+    params.write_text(COVID_PARAMS_TEXT)
+    code, payload = run_cli(capsys, "tune", net, "-p", params, "-c", COVID_CONSTRAINT_TEXT)
+    assert (code, payload["status"]) == (0, "tuned")
+    assert payload["distance"]["value"] == pytest.approx(0.18422244589422587, rel=1e-12)
+    pbn = parse_param_spec(COVID_PARAMS_TEXT, parse_network(text))
+    answer = {name: Fraction(value) for name, value in payload["instantiation"].items()}
+    constraint = parse_constraint(COVID_CONSTRAINT_TEXT, pbn)
+    posterior = infer(instantiate(pbn, answer), constraint.hypothesis, constraint.evidence)
+    assert constraint.satisfied_by(posterior)
 
 
 def test_huge_delta_exponent_is_an_input_error(capsys, covid_files):

@@ -10,9 +10,9 @@ from bntune.bn import parametrize
 from bntune.errors import (
     NotWellFormed,
     ParseError,
-    RowSumError,
     UnknownValue,
     UnsupportedMultiEntryRow,
+    ZeroEntry,
 )
 from bntune.formats import (
     float17,
@@ -56,21 +56,23 @@ def test_parse_network_numeric_value_labels():
     assert net.variable_map["Bit"].values == ("0", "1")
 
 
-def test_parse_network_row_sum_slightly_off_requires_renormalize():
+def test_parse_network_keeps_a_near_unit_row_as_written():
+    # The row misses one by 1e-10, within ROW_SUM_TOLERANCE: kept exactly.
     text = "var A { values: a, b; } cpt A { (): 0.3333333333, 0.6666666666; }"
-    with pytest.raises(RowSumError, match="renormalize"):
+    row = parse_network(text).cpt_map["A"].row(())
+    assert [p.constant_value() for p in row] == [
+        Fraction(3333333333, 10**10),
+        Fraction(6666666666, 10**10),
+    ]
+
+
+@pytest.mark.parametrize("numbers", ["0.5, 0.6", "0.25, 0.749999998"], ids=["far-off", "2e-9"])
+def test_parse_network_rejects_a_row_off_by_more_than_the_tolerance(numbers):
+    text = f"var A {{ values: a, b; }}\ncpt A {{\n  (): {numbers};\n}}"
+    with pytest.raises(ParseError, match="sums to") as excinfo:
         parse_network(text)
-    net = parse_network(text, renormalize=True)
-    row = net.cpt_map["A"].row(())
-    assert sum(p.constant_value() for p in row) == 1
-    # Rescaling is exact: the ratio 1:2 of the written numbers is preserved.
-    assert row[1].constant_value() == 2 * row[0].constant_value()
-
-
-def test_parse_network_row_sum_far_off_is_rejected_even_with_renormalize():
-    text = "var A { values: a, b; } cpt A { (): 0.5, 0.6; }"
-    with pytest.raises(RowSumError):
-        parse_network(text, renormalize=True)
+    assert (excinfo.value.line, excinfo.value.column) == (3, 3)
+    assert isinstance(excinfo.value.__cause__, NotWellFormed)
 
 
 def test_parse_network_duplicate_table():
@@ -84,8 +86,9 @@ def test_parse_network_duplicate_table():
 
 
 def test_parse_network_missing_table():
-    with pytest.raises(NotWellFormed, match="no table"):
+    with pytest.raises(ParseError, match="no table") as excinfo:
         parse_network("var A { values: a, b; }")
+    assert (excinfo.value.line, excinfo.value.column) == (1, 5)
 
 
 def test_parse_network_undeclared_table():
@@ -94,8 +97,33 @@ def test_parse_network_undeclared_table():
     cpt A { (): 0.5, 0.5; }
     cpt B { (): 0.5, 0.5; }
     """
-    with pytest.raises(NotWellFormed, match="undeclared"):
+    with pytest.raises(ParseError, match="undeclared") as excinfo:
         parse_network(text)
+    assert (excinfo.value.line, excinfo.value.column) == (4, 9)
+
+
+def test_parse_network_errors_of_the_built_net_are_parse_errors():
+    cycle = """
+    var A { values: a, b; parents: B; }
+    var B { values: a, b; parents: A; }
+    cpt A { (a): 0.5, 0.5; (b): 0.5, 0.5; }
+    cpt B { (a): 0.5, 0.5; (b): 0.5, 0.5; }
+    """
+    with pytest.raises(ParseError, match="cycle") as excinfo:
+        parse_network(cycle)
+    assert isinstance(excinfo.value.__cause__, NotWellFormed)
+    missing_row = """
+    var A { values: a, b; }
+    var B { values: a, b; parents: A; }
+    cpt A { (): 0.5, 0.5; }
+    cpt B { (a): 0.5, 0.5; }
+    """
+    with pytest.raises(ParseError, match="parent evaluation") as excinfo:
+        parse_network(missing_row)
+    assert isinstance(excinfo.value.__cause__, NotWellFormed)
+    with pytest.raises(ParseError, match="duplicate value") as excinfo:
+        parse_network("var A { values: a, a; }\ncpt A { (): 0.5, 0.5; }")
+    assert (excinfo.value.line, excinfo.value.column) == (1, 5)
 
 
 def test_parse_network_error_carries_position():
@@ -120,8 +148,9 @@ def test_parse_network_rejects_stray_keyword():
 
 
 def test_parse_network_var_without_values():
-    with pytest.raises(NotWellFormed, match="no values"):
+    with pytest.raises(ParseError, match="no values") as excinfo:
         parse_network("var A { parents: B; }")
+    assert (excinfo.value.line, excinfo.value.column) == (1, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +197,26 @@ def test_parse_param_spec_shared_entries(covid_net):
     }
     """
     # Symptoms(no)->yes is 0.1 but Antigen(no,no)->pos is 0.01: unequal pivots.
-    with pytest.raises(NotWellFormed):
+    with pytest.raises(ParseError, match="different original values") as excinfo:
         parse_param_spec(text, covid_net)
+    assert isinstance(excinfo.value.__cause__, NotWellFormed)
     equal = """
     param s {
       entry: PCR(yes): pos;
       entry: PCR(yes): pos;
     }
     """
-    with pytest.raises(UnsupportedMultiEntryRow):
+    with pytest.raises(ParseError) as excinfo:
         # Selecting the same entry twice collides on its row.
         parse_param_spec(equal, covid_net)
+    assert isinstance(excinfo.value.__cause__, UnsupportedMultiEntryRow)
+
+
+def test_parse_param_spec_zero_entry_is_a_parse_error():
+    net = parse_network("var A { values: a, b; }\ncpt A { (): 1, 0; }")
+    with pytest.raises(ParseError, match="cannot co-vary") as excinfo:
+        parse_param_spec("param p { entry: A(): a; }", net)
+    assert isinstance(excinfo.value.__cause__, ZeroEntry)
 
 
 def test_parse_param_spec_unknown_covariation(covid_net):
@@ -197,23 +235,27 @@ def test_parse_param_spec_duplicate_block(covid_net):
     param p { entry: Antigen(yes, yes): pos; }
     param p { entry: PCR(yes): pos; }
     """
-    with pytest.raises(NotWellFormed, match="duplicate"):
+    with pytest.raises(ParseError, match="duplicate") as excinfo:
         parse_param_spec(text, covid_net)
+    assert (excinfo.value.line, excinfo.value.column) == (3, 11)
 
 
 def test_parse_param_spec_empty_block(covid_net):
-    with pytest.raises(NotWellFormed, match="no entry"):
+    with pytest.raises(ParseError, match="no entry") as excinfo:
         parse_param_spec("param p { covariation: linear-proportional; }", covid_net)
+    assert (excinfo.value.line, excinfo.value.column) == (1, 7)
 
 
 def test_parse_param_spec_unknown_variable(covid_net):
-    with pytest.raises(UnknownValue, match="Serology"):
+    with pytest.raises(ParseError, match="Serology") as excinfo:
         parse_param_spec("param p { entry: Serology(yes): pos; }", covid_net)
+    assert (excinfo.value.line, excinfo.value.column) == (1, 18)
 
 
 def test_parse_param_spec_unknown_value(covid_net):
-    with pytest.raises(UnknownValue, match="maybe"):
+    with pytest.raises(ParseError, match="maybe") as excinfo:
         parse_param_spec("param p { entry: PCR(yes): maybe; }", covid_net)
+    assert (excinfo.value.line, excinfo.value.column) == (1, 28)
 
 
 def test_parse_param_spec_unknown_clause(covid_net):
@@ -279,15 +321,16 @@ def test_parse_constraint_rejects_a_huge_exponent():
 
 
 def test_parse_constraint_threshold_above_one():
-    with pytest.raises(NotWellFormed):
+    with pytest.raises(ParseError, match="outside") as excinfo:
         parse_constraint("P(A=a) <= 1.5")
+    assert isinstance(excinfo.value.__cause__, NotWellFormed)
 
 
 def test_parse_constraint_checks_names_against_net(covid_net):
-    with pytest.raises(UnknownValue):
-        parse_constraint("P(COVID-19=no | Serology=pos) <= 0.5", covid_net)
-    with pytest.raises(UnknownValue):
-        parse_constraint("P(COVID-19=maybe) <= 0.5", covid_net)
+    for text in ("P(COVID-19=no | Serology=pos) <= 0.5", "P(COVID-19=maybe) <= 0.5"):
+        with pytest.raises(ParseError) as excinfo:
+            parse_constraint(text, covid_net)
+        assert isinstance(excinfo.value.__cause__, UnknownValue)
     # Without a net, names are taken on faith.
     parse_constraint("P(COVID-19=maybe) <= 0.5")
 

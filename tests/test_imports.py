@@ -6,10 +6,12 @@ inside a quoted annotation), or listed in ``__all__``.  ``from __future__``
 imports are exempt, and so are the re-exports of the package's
 ``__init__.py``.  Likewise every top-level name of the package (a function,
 class or constant) is read somewhere in the package outside its own
-definition, unless it is public and listed in ``__all__``.  Importing the
-package must not load numpy, which only ``oracle.grid_min_distance`` needs;
-that function's numpy import is the one import of the package made inside a
-function.
+definition, unless it is public and listed in ``__all__``; and every public
+method or property of a package class is read as an attribute somewhere in
+``src``, ``bench`` or ``demos``, unless ``UNREAD_MEMBERS`` says why it stays.
+Importing the package must not load numpy, which only
+``oracle.grid_min_distance`` needs; that function's numpy import is the one
+import of the package made inside a function.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from pathlib import Path
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "bntune"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "bntune"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
     TESTS.glob("*.py")
 )
@@ -229,6 +232,69 @@ def test_the_check_finds_an_unused_public_name():
         "b": "from . import a\nvalue = a.via_module()",
     }
     assert unused_public_names(sources) == ["a.UNUSED", "a.reexported", "a.Lone", "b.value"]
+
+
+#: Public methods and properties of package classes that nothing in ``src``,
+#: ``bench`` or ``demos`` reads yet, each with the reason it stays.
+UNREAD_MEMBERS = {
+    "Region.center": "ROADMAP item 3's best-first search checks each inconclusive "
+    "box's centre as a point box",
+}
+
+
+def unread_members(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """``Class.name`` of each public method or property of a class in ``package``
+    that no module of ``readers`` reads as an attribute (``x.name``)."""
+    read = {
+        node.attr
+        for source in readers.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for source in package.values():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            unread += [
+                f"{cls.name}.{node.name}"
+                for node in cls.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+                and node.name not in read
+            ]
+    return unread
+
+
+def test_public_members_are_read():
+    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    readers = {
+        str(path): path.read_text()
+        for folder in (SRC, ROOT / "bench", ROOT / "demos")
+        for path in sorted(folder.glob("*.py"))
+    }
+    assert sorted(unread_members(package, readers)) == sorted(UNREAD_MEMBERS)
+
+
+def test_the_check_finds_an_unread_member():
+    package = {
+        "a": "\n".join([
+            "class Box:",
+            "    def used(self):",
+            "        return self.helper()",
+            "    def helper(self):",
+            "        return 0",
+            "    @property",
+            "    def unread(self):",
+            "        return 1",
+            "    def _private(self):",
+            "        return 2",
+            "    def assigned(self):",
+            "        return 3",
+        ]),
+    }
+    readers = dict(package, b="from a import Box\nBox().used()\nBox.assigned = None")
+    assert unread_members(package, readers) == ["Box.unread", "Box.assigned"]
 
 
 def test_importing_the_package_does_not_load_numpy():
