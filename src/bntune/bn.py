@@ -1,8 +1,9 @@
 """Discrete Bayesian networks with (optionally parametric) probability tables.
 
 A :class:`ParamBN` is the one network type, and a plain :class:`BayesNet` is
-a ``ParamBN`` without parameters.  Whether a network is valid is decided once,
-when it is built, by one row rule (see :class:`ParamBN`).  Selected entries
+a ``ParamBN`` without parameters.  Validity is decided once, when an object
+is built: a :class:`CPT` checks each of its rows by one row rule, and a
+network checks only how its tables fit together.  Selected entries
 can be turned into named parameters with :func:`parametrize`; the remaining
 entries of each touched row co-vary proportionally, so every row stays a
 probability distribution for all parameter values in (0, 1).
@@ -69,11 +70,16 @@ class CPT:
     """A conditional probability table: one row per parent evaluation.
 
     Each row holds one polynomial entry per value of the owning variable
-    (constant polynomials in a plain network).
+    (constant polynomials in a plain network).  Construction checks each row,
+    in order, by the row rule (:func:`_check_row`); rows are kept as written.
     """
 
     owner: str
     rows: tuple[tuple[tuple[str, ...], tuple[Polynomial, ...]], ...]
+
+    def __post_init__(self):
+        for key, row in self.rows:
+            _check_row(self.owner, key, row)
 
     @cached_property
     def _row_map(self) -> dict[tuple[str, ...], tuple[Polynomial, ...]]:
@@ -97,6 +103,7 @@ class CPT:
 
 
 def _check_tables(variables: tuple[Variable, ...], cpts: tuple[CPT, ...]) -> None:
+    """How the tables fit together: names, parents, no cycle, alignment, row keys and lengths."""
     by_name = {v.name: v for v in variables}
     if len(by_name) != len(variables):
         raise NotWellFormed("duplicate variable name")
@@ -117,7 +124,6 @@ def _check_tables(variables: tuple[Variable, ...], cpts: tuple[CPT, ...]) -> Non
         for key, row in table.rows:
             if len(row) != len(v.values):
                 raise NotWellFormed(f"row {key} of {v.name} has {len(row)} entries, expected {len(v.values)}")
-            _check_row(v.name, key, row)
 
 
 def _check_row(owner: str, key: tuple[str, ...], row: tuple[Polynomial, ...]) -> None:
@@ -166,12 +172,10 @@ class ParamBN:
     ``params`` fixes the parameter order and the closed interval each
     parameter may range over (no parameters by default); ``origin`` (when
     known) maps each parameter to the constant value it replaced, which may
-    lie outside its interval.  Construction decides validity, once: the
-    tables match the variables, the parent graph is acyclic, every entry's
-    parameter is declared, and every row obeys one rule.  A row that holds a
-    parameter sums to one symbolically; a constant row has entries in
-    [0, 1] and may miss one by ``ROW_SUM_TOLERANCE``, and it is kept exactly
-    as written.
+    lie outside its interval.  Its tables have checked their own rows
+    (:class:`CPT`); construction checks how they fit together: the tables
+    match the variables, the parent graph is acyclic, every interval is
+    non-empty and within (0, 1), and every entry's parameter is declared.
     """
 
     variables: tuple[Variable, ...]
@@ -186,7 +190,8 @@ class ParamBN:
             raise NotWellFormed("duplicate parameter name")
         for name, (lb, ub) in self.params:
             if not (0 < lb <= ub < 1):
-                raise NotWellFormed(f"interval [{lb}, {ub}] of parameter {name} is not within (0, 1)")
+                problem = "is empty" if lb > ub else "is not within (0, 1)"
+                raise NotWellFormed(f"interval [{lb}, {ub}] of parameter {name} {problem}")
         used = frozenset(p for c in self.cpts for p in c.parameters)
         undeclared = used - set(names)
         if undeclared:
@@ -367,6 +372,7 @@ def parametrize(
         rows_touched[row_id] = coord
 
     delta = as_fraction(delta)
+    touched = {var for var, _ in rows_touched}
     origin: dict[str, Fraction] = {}
     param_order: list[str] = []
     new_cpts: list[CPT] = []
@@ -402,7 +408,7 @@ def parametrize(
                 for i in range(len(row))
             )
             new_rows.append((key, new_row))
-        new_cpts.append(CPT(v.name, tuple(new_rows)))
+        new_cpts.append(CPT(v.name, tuple(new_rows)) if v.name in touched else table)
 
     param_intervals: list[tuple[str, tuple[Fraction, Fraction]]] = []
     for name in param_order:
@@ -423,8 +429,9 @@ def parametrize(
 def instantiate(pbn: ParamBN, u: Instantiation) -> BayesNet:
     """Evaluate every table entry at ``u``, producing a plain network.
 
-    ``u`` must cover exactly the declared parameters; entries must evaluate
-    into [0, 1] (otherwise :class:`NotWellFormed`).
+    ``u`` must cover exactly the declared parameters.  The evaluated tables
+    obey the row rule (:class:`CPT`), so an entry that evaluates outside
+    [0, 1] raises :class:`NotWellFormed`.
     """
     declared = set(pbn.parameter_names)
     missing = declared - set(u)
@@ -437,18 +444,8 @@ def instantiate(pbn: ParamBN, u: Instantiation) -> BayesNet:
 
     new_cpts = []
     for table in pbn.cpts:
-        new_rows = []
-        for key, row in table.rows:
-            values = []
-            for entry in row:
-                value = entry.evaluate(exact_u)
-                if not (0 <= value <= 1):
-                    raise NotWellFormed(
-                        f"entry {entry} of {table.owner}{key} evaluates to {float(value)} outside [0, 1]"
-                    )
-                values.append(Polynomial.constant(value))
-            new_rows.append((key, tuple(values)))
-        new_cpts.append(CPT(table.owner, tuple(new_rows)))
+        rows = ((key, tuple(Polynomial.constant(e.evaluate(exact_u)) for e in row)) for key, row in table.rows)
+        new_cpts.append(CPT(table.owner, tuple(rows)))
     return BayesNet(pbn.variables, tuple(new_cpts))
 
 

@@ -38,7 +38,6 @@ from .bn import (
     EntryCoord,
     ParamBN,
     Variable,
-    _check_row,
     parametrize,
 )
 from .errors import (
@@ -169,24 +168,24 @@ class _Scanner:
 def parse_network(text: str) -> BayesNet:
     """Parse a network file.
 
-    Each table row is checked where it is read, by the network's one row
-    rule (:class:`ParamBN`): a row that misses a unit sum by at most
-    ``ROW_SUM_TOLERANCE`` (1e-9), as written decimals often do, is kept
-    exactly as written; one that misses by more raises :class:`ParseError`
-    at the row's line and column.
+    Each ``cpt`` block becomes a :class:`CPT` when its closing brace is read,
+    and the table checks its rows by the row rule: a row that misses a unit
+    sum by at most ``ROW_SUM_TOLERANCE`` (1e-9), as written decimals often
+    do, is kept exactly as written; one that misses by more raises
+    :class:`ParseError` at the row's line and column.
     """
     scanner = _Scanner(text)
     variables: list[tuple[Variable, _Token]] = []
-    tables: dict[str, tuple[_Token, list]] = {}
+    tables: dict[str, tuple[_Token, CPT]] = {}
     while scanner.peek().kind != "end":
         keyword = scanner.expect(kind="name", what="'var' or 'cpt'")
         if keyword.text == "var":
             variables.append(_parse_var_block(scanner))
         elif keyword.text == "cpt":
-            owner, rows = _parse_cpt_block(scanner)
+            owner, table = _parse_cpt_block(scanner)
             if owner.text in tables:
                 raise ParseError(f"duplicate table for {owner.text}", keyword.line, keyword.column)
-            tables[owner.text] = (owner, rows)
+            tables[owner.text] = (owner, table)
         else:
             raise ParseError(
                 f"expected 'var' or 'cpt', got {keyword.text!r}", keyword.line, keyword.column
@@ -198,7 +197,7 @@ def parse_network(text: str) -> BayesNet:
     for v, token in variables:
         if v.name not in tables:
             raise ParseError(f"no table for variable {v.name!r}", token.line, token.column)
-    cpts = tuple(CPT(v.name, tuple(tables[v.name][1])) for v, _ in variables)
+    cpts = tuple(tables[v.name][1] for v, _ in variables)
     try:
         return BayesNet(tuple(v for v, _ in variables), cpts)
     except NotWellFormed as exc:
@@ -229,25 +228,29 @@ def _parse_var_block(scanner: _Scanner) -> tuple[Variable, _Token]:
         raise ParseError(str(exc), name.line, name.column) from exc
 
 
-def _parse_cpt_block(scanner: _Scanner) -> tuple[_Token, list]:
+def _parse_cpt_block(scanner: _Scanner) -> tuple[_Token, CPT]:
     owner = scanner.expect(kind="name", what="a variable name")
     scanner.expect("{")
-    rows = []
+    rows, openings = [], []
     while not scanner.accept("}"):
-        opening = scanner.expect("(")
+        openings.append(scanner.expect("("))
         key: tuple[str, ...] = () if scanner.accept(")") else tuple(scanner.label_list(")"))
         scanner.expect(":")
         numbers = [scanner.number("a probability")]
         while scanner.accept(","):
             numbers.append(scanner.number("a probability"))
         scanner.expect(";")
-        row = tuple(Polynomial.constant(n) for n in numbers)
-        try:
-            _check_row(owner.text, key, row)
-        except NotWellFormed as exc:
-            raise ParseError(str(exc), opening.line, opening.column) from exc
-        rows.append((key, row))
-    return owner, rows
+        rows.append((key, tuple(Polynomial.constant(n) for n in numbers)))
+    try:
+        return owner, CPT(owner.text, tuple(rows))
+    except NotWellFormed as exc:
+        # The table checks its rows in order: report the first that fails alone.
+        for opening, row in zip(openings, rows):
+            try:
+                CPT(owner.text, (row,))
+            except NotWellFormed:
+                raise ParseError(str(exc), opening.line, opening.column) from exc
+        raise ParseError(str(exc)) from exc
 
 
 # -- parameter selections ---------------------------------------------------------
@@ -321,6 +324,10 @@ def _parse_entry(scanner: _Scanner, net: BayesNet) -> EntryCoord:
     variable = net.variable_map.get(var.text)
     if variable is None:
         raise ParseError(f"unknown variable {var.text!r}", var.line, var.column)
+    try:
+        net.cpt_map[var.text].row(key)
+    except NotWellFormed as exc:
+        raise ParseError(str(exc), var.line, var.column) from exc
     if value.text not in variable.values:
         raise ParseError(f"variable {var.text} has no value {value.text!r}", value.line, value.column)
     return (var.text, key, variable.values.index(value.text))

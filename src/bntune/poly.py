@@ -297,7 +297,8 @@ class Region:
             raise BadRegion("duplicate parameter in region")
         for name, (lb, ub) in zip(self.params, self.intervals):
             if not (0 < lb <= ub < 1):
-                raise BadRegion(f"interval [{lb}, {ub}] for {name} is not within (0, 1)")
+                problem = "is empty" if lb > ub else "is not within (0, 1)"
+                raise BadRegion(f"interval [{lb}, {ub}] for {name} {problem}")
 
     @classmethod
     def from_bounds(

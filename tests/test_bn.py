@@ -218,7 +218,8 @@ def test_declared_intervals_default_and_explicit(covid_net):
 
 
 def test_instantiate_rejects_out_of_range_entries(toy_pbn):
-    with pytest.raises(NotWellFormed):
+    # The row rule of the evaluated table rejects the entry x = 3/2.
+    with pytest.raises(NotWellFormed, match=r"entry 3/2 in table of T is outside \[0, 1\]"):
         instantiate(toy_pbn, {"x": 1.5})
 
 

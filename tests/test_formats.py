@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from bntune import bn
 from bntune.bn import parametrize
 from bntune.errors import (
     NotWellFormed,
@@ -21,7 +22,7 @@ from bntune.formats import (
     parse_param_spec,
 )
 
-from conftest import COVID_NET_TEXT, COVID_PARAMS_TEXT, CP, CQ
+from conftest import COVID_NET_TEXT, COVID_PARAMS_TEXT, CP, CQ, ROOT
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +74,23 @@ def test_parse_network_rejects_a_row_off_by_more_than_the_tolerance(numbers):
         parse_network(text)
     assert (excinfo.value.line, excinfo.value.column) == (3, 3)
     assert isinstance(excinfo.value.__cause__, NotWellFormed)
+
+
+def test_the_row_rule_runs_once_per_built_row(monkeypatch):
+    calls = []
+    check_row = bn._check_row
+
+    def counted(*args):
+        calls.append(args)
+        check_row(*args)
+
+    monkeypatch.setattr(bn, "_check_row", counted)
+    net = parse_network((ROOT / "demos" / "files" / "diagnostic.net").read_text())
+    assert len(calls) == 9  # each of the 9 rows, once
+    pbn = parse_param_spec((ROOT / "demos" / "files" / "diagnostic.params").read_text(), net)
+    assert len(calls) == 15  # plus the 6 rows of the two rebuilt tables
+    for owner in ("COVID-19", "Symptoms"):
+        assert pbn.cpt_map[owner] is net.cpt_map[owner]
 
 
 def test_parse_network_duplicate_table():
@@ -256,6 +274,21 @@ def test_parse_param_spec_unknown_value(covid_net):
     with pytest.raises(ParseError, match="maybe") as excinfo:
         parse_param_spec("param p { entry: PCR(yes): maybe; }", covid_net)
     assert (excinfo.value.line, excinfo.value.column) == (1, 28)
+
+
+def test_parse_param_spec_entry_key_names_no_row(covid_net):
+    for key in ("maybe", "yes, yes", ""):
+        with pytest.raises(ParseError, match="no row for parents") as excinfo:
+            parse_param_spec(f"param p {{\n  entry: PCR({key}): pos;\n}}", covid_net)
+        assert (excinfo.value.line, excinfo.value.column) == (2, 10)
+        assert isinstance(excinfo.value.__cause__, NotWellFormed)
+
+
+def test_parse_param_spec_reversed_interval_is_empty(covid_net):
+    with pytest.raises(ParseError, match=r"interval \[1/2, 2/5\] of parameter p is empty"):
+        parse_param_spec("param p { entry: PCR(yes): pos; interval: 0.5, 0.4; }", covid_net)
+    with pytest.raises(ParseError, match=r"interval \[1/2, 1\] of parameter p is not within"):
+        parse_param_spec("param p { entry: PCR(yes): pos; interval: 0.5, 1; }", covid_net)
 
 
 def test_parse_param_spec_unknown_clause(covid_net):

@@ -9,6 +9,8 @@ class or constant) is read somewhere in the package outside its own
 definition, unless it is public and listed in ``__all__``; and every public
 method or property of a package class is read as an attribute somewhere in
 ``src``, ``bench`` or ``demos``, unless ``UNREAD_MEMBERS`` says why it stays.
+A package module imports another module's private name (``_x``) only
+where ``PRIVATE_IMPORTS`` names that import and says why.
 Importing the package must not load numpy, which only
 ``oracle.grid_min_distance`` needs; that function's numpy import is the one
 import of the package made inside a function.
@@ -119,6 +121,46 @@ def test_the_check_finds_an_import_inside_a_function():
         "        return UnknownValue",
     ])
     assert local_imports({"m": source}) == [("m", "f", "numpy"), ("m", "g", ".errors")]
+
+
+#: (importing module, imported module, private name) of each allowed private
+#: import, with the reason it is shared rather than made public.
+PRIVATE_IMPORTS = {
+    ("lifting", "pmc", "_distribution"): "the relaxation checks a state's weights "
+    "at each box corner by the point solver's own rule",
+    ("pmc", "poly", "_binary_fraction"): "reach_prob reads a float instantiation "
+    "at its exact binary value",
+    ("tune", "poly", "_binary_fraction"): "box bounds computed in floats are kept "
+    "at their exact binary value",
+}
+
+
+def private_imports(sources: dict[str, str]) -> list[tuple[str, str, str]]:
+    """(importing module, imported module, name) of each private name that a
+    module of ``sources`` imports from another module of the package."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found += [
+                    (module, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                ]
+    return found
+
+
+def test_private_imports_are_allowlisted():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sorted(private_imports(sources)) == sorted(PRIVATE_IMPORTS)
+
+
+def test_the_check_finds_a_private_import():
+    sources = {
+        "a": "from .b import _helper, public\nfrom . import c\nfrom typing import _Final",
+        "b": "from .a import __version__\nimport os\n_helper = os.sep\npublic = 1",
+    }
+    assert private_imports(sources) == [("a", "b", "_helper")]
 
 
 def _read_names(node: ast.AST) -> set[str]:

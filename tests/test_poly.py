@@ -264,9 +264,9 @@ def test_region_restrict_preserves_order():
 
 
 def test_region_rejects_bounds_outside_open_unit_interval():
-    with pytest.raises(BadRegion):
+    with pytest.raises(BadRegion, match=r"interval \[1/2, 1\] for p is not within"):
         Region.from_bounds({"p": (Fraction(1, 2), Fraction(1))})
     with pytest.raises(BadRegion):
         Region.from_bounds({"p": (Fraction(0), Fraction(1, 2))})
-    with pytest.raises(BadRegion):
+    with pytest.raises(BadRegion, match=r"interval \[2/3, 1/3\] for p is empty"):
         Region.from_bounds({"p": (Fraction(2, 3), Fraction(1, 3))})
