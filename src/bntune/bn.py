@@ -429,9 +429,11 @@ def parametrize(
 def instantiate(pbn: ParamBN, u: Instantiation) -> BayesNet:
     """Evaluate every table entry at ``u``, producing a plain network.
 
-    ``u`` must cover exactly the declared parameters.  The evaluated tables
-    obey the row rule (:class:`CPT`), so an entry that evaluates outside
-    [0, 1] raises :class:`NotWellFormed`.
+    ``u`` must cover exactly the declared parameters.  A table without
+    parameters is shared, not rebuilt, as :func:`parametrize` shares the
+    tables it leaves alone.  The evaluated tables obey the row rule
+    (:class:`CPT`), so an entry that evaluates outside [0, 1] raises
+    :class:`NotWellFormed`.
     """
     declared = set(pbn.parameter_names)
     missing = declared - set(u)
@@ -444,6 +446,9 @@ def instantiate(pbn: ParamBN, u: Instantiation) -> BayesNet:
 
     new_cpts = []
     for table in pbn.cpts:
+        if not table.parameters:
+            new_cpts.append(table)
+            continue
         rows = ((key, tuple(Polynomial.constant(e.evaluate(exact_u)) for e in row)) for key, row in table.rows)
         new_cpts.append(CPT(table.owner, tuple(rows)))
     return BayesNet(pbn.variables, tuple(new_cpts))

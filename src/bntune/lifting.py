@@ -74,14 +74,22 @@ def relax(pmc: PMC) -> PMC:
     return pmc
 
 
-def substitute(pmc: PMC, region: Region) -> BoundMDP:
+def substitute(
+    pmc: PMC,
+    region: Region,
+    corners: dict[tuple[int, tuple[Fraction, ...]], tuple[tuple[int, float], ...]] | None = None,
+) -> BoundMDP:
     """Instantiate every endpoint combination of each state's own parameters.
 
     The region must give every parameter of the chain an interval inside the
     declared one.  Each weight is its exact value at the corner, rounded
     once, as the solver's rounding bound assumes.  Only the parametric states
     of :attr:`PMC.lowered` are evaluated per box; the parameter-free states
-    share its actions.
+    share its actions.  ``corners`` maps (parametric state, corner values, in
+    the order of the state's sorted parameter names) to the state's checked
+    action there: a corner found in it is not evaluated again, and each
+    corner evaluated is added, so sibling boxes that share most corners
+    evaluate only the new ones.  A corner that raises is not added.
     """
     choices: dict[str, tuple[Fraction, ...]] = {}
     for name, (dlb, dub) in pmc.params:
@@ -95,11 +103,17 @@ def substitute(pmc: PMC, region: Region) -> BoundMDP:
             )
         choices[name] = (lb,) if lb == ub else (lb, ub)
 
+    if corners is None:
+        corners = {}
     all_actions = list(pmc.lowered.actions)
     for s, local in pmc.lowered.parametric:
         state_actions: dict[tuple[tuple[int, float], ...], None] = {}
         for corner in itertools.product(*(choices[name] for name in local)):
-            state_actions[_distribution(pmc.edges[s], dict(zip(local, corner)), {})] = None
+            action = corners.get((s, corner))
+            if action is None:
+                action = _distribution(pmc.edges[s], dict(zip(local, corner)), {})
+                corners[s, corner] = action
+            state_actions[action] = None
         all_actions[s] = tuple(state_actions)
     return BoundMDP(pmc.states, pmc.initial, tuple(all_actions))
 
@@ -140,43 +154,71 @@ class RegionVerifier:
     or after, does not repeat them.  The chain's solver has collapsed the
     states that no box changes, the parameter-free ones, into affine forms,
     so each bound walks only the chain's parametric skeleton.
+
+    Only what a box changes is evaluated: the verifier keeps every corner
+    action that :func:`substitute` has computed for it, keyed by state and
+    corner values, so a box evaluates only the corners that no earlier box
+    of this verifier had.  A kept action is the one that evaluating the
+    corner again would give, bit for bit.  The corners last as long as the
+    verifier: one :func:`tune.tune` run, or one :func:`refine.partition`
+    run that builds its own, whose guard bounds the boxes, and so the
+    corners, that it sees.
+
+    :meth:`verify` decides each side of the threshold with one greedy round
+    (:meth:`LeveledSolver.greedy`) at the threshold moved by ``MARGIN``
+    towards the side to be shown, instead of computing the bound.  The
+    picked policy's padded value lies beyond that point only if every
+    policy's exact value does (up to the tie caveat of
+    :class:`LeveledSolver`), so a conclusive verdict is as sound as one from
+    :meth:`bounds`.  The two give the same verdict unless the optimum lies
+    within the pad of that point; there :meth:`verify` may decide a box
+    that :meth:`bounds` leaves inconclusive, as the picked policy need not
+    be the optimal one.
     """
 
     def __init__(self, pmc: PMC, spec: ReachSpec):
         self.spec = spec
         self.pmc = relax(pmc)
         self.solver = pmc.solver(spec.targets)
+        self._corners: dict = {}
 
-    def _bound(self, mdp: BoundMDP, maximize: bool) -> float:
-        """The optimum, padded outwards by the solver's rounding bound."""
-        value = self.solver.extremal(mdp.actions, maximize)
+    def _padded(self, value: float, maximize: bool) -> float:
+        """``value`` widened outwards by the solver's rounding bound."""
         if maximize:
             return min(value * (1 + self.solver.pad), 1.0)
         return max(value * (1 - self.solver.pad), 0.0)
 
+    def _greedy(self, actions, x: float, maximize: bool) -> float:
+        """The padded value of the policy that one greedy round at ``x`` picks."""
+        return self._padded(self.solver.greedy(actions, x, maximize), maximize)
+
     def bounds(self, region: Region) -> tuple[float, float]:
         """Sound lower and upper bounds on the probability over the box.
 
-        The optima are widened by :attr:`LeveledSolver.pad`, the bound on
-        their rounding error derived there, so the returned pair still
-        brackets the true range.
+        The optima, from policy iteration, are widened by
+        :attr:`LeveledSolver.pad`, the bound on their rounding error derived
+        there, so the returned pair still brackets the true range.
         """
-        mdp = substitute(self.pmc, region)
-        return self._bound(mdp, False), self._bound(mdp, True)
+        actions = substitute(self.pmc, region, self._corners).actions
+        return (
+            self._padded(self.solver.extremal(actions, False), False),
+            self._padded(self.solver.extremal(actions, True), True),
+        )
 
     def verify(self, region: Region) -> Verdict:
-        """Classify the box, computing only the bounds the decision needs."""
-        mdp = substitute(self.pmc, region)
+        """Classify the box, deciding only the sides that the verdict needs."""
+        actions = substitute(self.pmc, region, self._corners).actions
         threshold = float(self.spec.threshold)
+        below, above = threshold - MARGIN, threshold + MARGIN
         if self.spec.direction == "<=":
-            if self._bound(mdp, True) <= threshold - MARGIN:
+            if self._greedy(actions, below, True) <= below:
                 return Verdict.ACCEPTING
-            if self._bound(mdp, False) > threshold + MARGIN:
+            if self._greedy(actions, above, False) > above:
                 return Verdict.REJECTING
             return Verdict.INCONCLUSIVE
-        if self._bound(mdp, False) >= threshold + MARGIN:
+        if self._greedy(actions, above, False) >= above:
             return Verdict.ACCEPTING
-        if self._bound(mdp, True) < threshold - MARGIN:
+        if self._greedy(actions, below, True) < below:
             return Verdict.REJECTING
         return Verdict.INCONCLUSIVE
 

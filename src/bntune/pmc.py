@@ -331,15 +331,36 @@ class LeveledSolver:
     digits.  When E = 0 every path restarts forever, and the least fixed
     point x = 0 is the value.
 
-    :meth:`extremal` runs policy iteration on x.  A round picks each state's
-    action with the best gain T - x*E at the current x (the best T + R*x,
-    without its cancellation) and re-solves.  The first round runs at
-    x = 0, where the gain is T itself: a zero there is exact and means that
-    some policy (min) or every policy (max) never reaches a target, so the
-    value is 0.  Later rounds stop once x no longer improves, which includes
-    the policy repeating.  The greedy gain at the initial state is then the
-    best T - x*E over all policies, and its sign bounds every policy's T/E
-    by x.  Rounds are capped at the number of states.
+    A round at a given x picks each state's action with the best gain
+    T - x*E, the largest for the maximum and the least for the minimum (the
+    best T + R*x, without its cancellation), and solves the policy it
+    picked.  A state's gain is its action's weighted sum of its
+    successors' gains (a target's is 1 - x, a leaf's -x, a restart's 0), so
+    choosing per state, deepest level first, gives the initial state the
+    best gain over all policies.  :meth:`extremal` runs policy iteration on
+    x.  The first round runs at x = 0, where the gain is T itself: a zero
+    there is exact and means that some policy (min) or every policy (max)
+    never reaches a target, so the value is 0.  Later rounds stop once x no
+    longer improves, which includes the policy repeating.  The greedy gain
+    at the initial state is then the best T - x*E over all policies, and its
+    sign bounds every policy's T/E by x.  Rounds are capped at the number of
+    states.
+
+    One round decides a threshold x (Dinkelbach, *On Nonlinear Fractional
+    Programming*, 1967): max T/E <= x exactly when max (T - x*E) <= 0.
+    :meth:`greedy` runs that round and returns the picked policy's T/E.  For
+    the maximum, every policy's T/E is at most x exactly when the picked
+    one's is.  If the picked T/E is at most x and x >= 0, its gain, and so
+    every policy's, is at most 0, and T <= x*E bounds each T/E by x; a
+    policy with E = 0 has T = 0 (T <= E), gain 0 and value 0 <= x, so the
+    same sign covers it.  If the picked T/E exceeds x, or x < 0, the picked
+    policy is itself a counterexample.  For the minimum, every policy's T/E
+    exceeds x exactly when the picked one's does (for x < 0 both hold): a
+    picked T/E above x >= 0 means T > 0, so E > 0 and its gain, the least,
+    is positive; every policy then has T > x*E, and none has E = 0, whose
+    gain is 0.  So
+    a side of a threshold needs one round, and policy iteration is needed
+    only for the value itself.
 
     Given ``actions``, the constructor also collapses every state that has
     a single fixed action and no parameter into an affine form over the
@@ -375,15 +396,18 @@ class LeveledSolver:
     path has at most d edges, so T and E at the initial state are each
     within gamma_n of the exact T and E of the chosen policy, n = 2d(k+1),
     and T/E, with its one division, within gamma_m for m = 2n + 1, as
-    (1 + gamma_n)/(1 - gamma_n) = 1 + gamma_{2n}.  So :meth:`reach` is
-    within gamma_m of the exact value, relative to it.  :attr:`pad` is
-    2*gamma_m: the factor 2 covers turning that into a bound on the exact
-    value, which divides by 1 - gamma_m, and the two roundings of the
-    multiplication that applies the pad.  Policy iteration compares gains
-    in floating point, so two policies whose gains agree to within their
-    rounding may be ranked either way.  The pad does not cover that case; it
-    moves x by at most about d*m*u*E_max/E, where E is the ending mass of
-    the policy passed over and E_max the largest ending mass of any policy.
+    (1 + gamma_n)/(1 - gamma_n) = 1 + gamma_{2n}.  So the value that
+    :meth:`greedy` returns is within gamma_m of the exact value of the
+    policy it picked, relative to it.  :attr:`pad` is 2*gamma_m: the
+    factor 2 covers turning that into a bound on the exact value, which
+    divides by 1 - gamma_m, and the two roundings of the multiplication
+    that applies the pad.  The pad covers the policy that a
+    round picks, whether policy iteration settles on it or :meth:`greedy`
+    picks it at a threshold.  A round compares gains in floating point,
+    so two policies whose gains agree to within their rounding may be
+    ranked either way.  The pad does not cover that case; it moves x by at
+    most about d*m*u*E_max/E, where E is the ending mass of the policy
+    passed over and E_max the largest ending mass of any policy.
     """
 
     def __init__(
@@ -486,9 +510,12 @@ class LeveledSolver:
             t_of[s], e_of[s] = best_t, best_e
         return t_of[self.initial], e_of[self.initial]
 
-    def reach(self, actions) -> float:
-        """The value of a chain with one action per state."""
-        t, e = self._round(actions, 0.0, True)
+    def greedy(self, actions, x: float, maximize: bool) -> float:
+        """The value T/E of the policy with the best (``maximize``) or worst
+        gain T - x*E.  It is at most ``x`` exactly when every policy's value
+        is (``maximize``), and exceeds ``x`` exactly when every policy's
+        value does (otherwise); see above."""
+        t, e = self._round(actions, x, maximize)
         return t / e if e else 0.0
 
     def extremal(self, actions, maximize: bool) -> float:
@@ -555,7 +582,8 @@ def reach_prob(pmc: PMC, u: Instantiation, targets: Iterable[int]) -> float:
     memo: dict[int, float] = {}
     for s, _ in lowered.parametric:
         actions[s] = (_distribution(pmc.edges[s], point, memo),)
-    return pmc.solver(targets).reach(actions)
+    # One action per state, so the round's policy is the chain itself.
+    return pmc.solver(targets).greedy(actions, 0.0, True)
 
 
 @dataclass(frozen=True)

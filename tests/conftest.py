@@ -268,15 +268,20 @@ def region_samples(
     return points
 
 
-def build_layered_6x6() -> tuple[ParamBN, Constraint]:
-    """The benchmark's layered-6x6 net: x on L0_0, y on L3_0[t,t], Pr(L5_0 = t) <= 0.51."""
+def layered_tables(levels: int, width: int, seed: int):
+    """The benchmark's seeded layered-network generator, ``workloads.layered_tables``."""
     module = sys.modules.get("workloads")
     if module is None:
         spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
         module = importlib.util.module_from_spec(spec)
         sys.modules["workloads"] = module
         spec.loader.exec_module(module)
-    variables, tables = module.layered_tables(6, 6, 1)
+    return module.layered_tables(levels, width, seed)
+
+
+def build_layered_6x6() -> tuple[ParamBN, Constraint]:
+    """The benchmark's layered-6x6 net: x on L0_0, y on L3_0[t,t], Pr(L5_0 = t) <= 0.51."""
+    variables, tables = layered_tables(6, 6, 1)
     coords = (("L0_0", (), 0), ("L3_0", ("t", "t"), 0))
     pbn = parametrize(net_from_tables(variables, tables), coords, {coords[0]: "x", coords[1]: "y"})
     return pbn, Constraint((("L5_0", "t"),), (), "<=", Fraction(51, 100))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bntune import bn
-from bntune.bn import parametrize
+from bntune.bn import instantiate, parametrize
 from bntune.errors import (
     NotWellFormed,
     ParseError,
@@ -91,6 +91,24 @@ def test_the_row_rule_runs_once_per_built_row(monkeypatch):
     assert len(calls) == 15  # plus the 6 rows of the two rebuilt tables
     for owner in ("COVID-19", "Symptoms"):
         assert pbn.cpt_map[owner] is net.cpt_map[owner]
+
+
+def test_instantiate_shares_the_tables_without_parameters(monkeypatch):
+    net = parse_network((ROOT / "demos" / "files" / "diagnostic.net").read_text())
+    pbn = parse_param_spec((ROOT / "demos" / "files" / "diagnostic.params").read_text(), net)
+    calls = []
+    check_row = bn._check_row
+
+    def counted(*args):
+        calls.append(args)
+        check_row(*args)
+
+    monkeypatch.setattr(bn, "_check_row", counted)
+    back = instantiate(pbn, pbn.origin_instantiation())
+    assert len(calls) == 6  # the 6 rows of the two parametrized tables
+    for owner in ("COVID-19", "Symptoms"):
+        assert back.cpt_map[owner] is net.cpt_map[owner]
+    assert back == net
 
 
 def test_parse_network_duplicate_table():

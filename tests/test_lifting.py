@@ -41,6 +41,7 @@ from conftest import (
     build_covid_net,
     build_covid_pbn,
     build_layered_6x6,
+    layered_tables,
     random_constraint,
     random_net,
     random_parametrization,
@@ -446,6 +447,115 @@ def test_collapsed_verifier_brackets_exact_extrema_on_random_nets():
             assert Fraction(lo) <= exact_lo and exact_hi <= Fraction(hi), seed
             ref_lo, ref_hi, _ = reference_bounds(pmc, spec.targets, box)
             assert verifier.verify(box) is reference_verdict(spec, ref_lo, ref_hi), seed
+
+
+# -- one greedy round per side ---------------------------------------------------
+
+
+def layered_4x4(seed: int):
+    """A seeded 4x4 layered net with six parameters, two on each of levels 1 to 3."""
+    variables, tables = layered_tables(4, 4, seed)
+    rng = random.Random(seed)
+    coords = [
+        (f"L{level}_{w}", ("t", "t"), 0)
+        for level in (1, 2, 3)
+        for w in sorted(rng.sample(range(4), 2))
+    ]
+    return parametrize(net_from_tables(variables, tables), coords), rng
+
+
+def box_around_origin(rng: random.Random, pbn) -> Region:
+    """A box around the original values, of half-width 10**-4 to 10**-1.5 per axis."""
+    bounds = {}
+    for name, origin in pbn.origin_instantiation().items():
+        lo, hi = pbn.interval(name)
+        half = Fraction(round(10 ** rng.uniform(-4, -1.5) * 10**6), 10**6)
+        bounds[name] = (max(lo, origin - half), min(hi, origin + half))
+    return Region.from_bounds(bounds)
+
+
+def test_one_greedy_round_per_side_gives_the_verdict_of_the_padded_bounds(monkeypatch):
+    # verify decides each side with one round at the threshold moved by
+    # MARGIN; bounds runs policy iteration.  Each box must get the verdict
+    # that the padded bounds give, from at most two rounds.
+    rounds = [0]
+    solver_round = LeveledSolver._round
+
+    def counted(self, *args):
+        rounds[-1] += 1
+        return solver_round(self, *args)
+
+    monkeypatch.setattr(LeveledSolver, "_round", counted)
+    verdicts = Counter()
+    differing = []
+    for seed in range(5):
+        pbn, rng = layered_4x4(seed)
+        for evidence in ((), (("L3_3", "f"),)):
+            probe = Constraint((("L3_0", "t"),), evidence, "<=", Fraction(1))
+            pmc, spec = compile_tailored(pbn, probe)
+            p0 = reach_prob(pmc, pbn.origin_instantiation(), spec.targets)
+            for direction in ("<=", ">="):
+                for _ in range(60):
+                    threshold = Fraction(p0 + rng.uniform(-0.01, 0.01)).limit_denominator(10**9)
+                    verifier = RegionVerifier(pmc, ReachSpec(spec.targets, direction, threshold))
+                    box = box_around_origin(rng, pbn)
+                    rounds.append(0)
+                    verdict = verifier.verify(box)
+                    assert rounds[-1] <= 2
+                    lo, hi = verifier.bounds(box)
+                    expected = reference_verdict(verifier.spec, lo, hi)
+                    verdicts[verdict] += 1
+                    if verdict is not expected:
+                        differing.append(
+                            f"{box} {direction} {float(threshold)!r}: verify gives "
+                            f"{verdict.value}, bounds ({lo!r}, {hi!r}) give {expected.value}"
+                        )
+    assert not differing, "\n".join(differing)
+    assert sum(verdicts.values()) == 1200
+    assert min(verdicts[v] for v in Verdict) >= 50, verdicts
+
+
+def test_kept_corners_give_the_actions_of_a_fresh_substitution(
+    monkeypatch, covid_pbn, covid_constraint
+):
+    # Every box of a partition gets, from the verifier's kept corners, the
+    # process that substituting it from scratch gives.
+    constraint = Constraint(
+        covid_constraint.hypothesis, covid_constraint.evidence, ">=", Fraction(2, 100)
+    )
+    pmc, spec = compile_tailored(covid_pbn, constraint)
+    original = lifting.substitute
+    kept = []
+
+    def comparing(pmc, region, corners=None):
+        mdp = original(pmc, region, corners)
+        assert mdp == original(pmc, region)
+        kept.append(corners)
+        return mdp
+
+    monkeypatch.setattr(lifting, "substitute", comparing)
+    result = partition(pmc, spec, covid_pbn.space(), Fraction(95, 100))
+    assert result.verifications == len(kept) > 100
+    # One verifier, so one dict for every box; two parametric states of two
+    # corners each per box, but most corners repeat.
+    corners = kept[0]
+    assert all(c is corners for c in kept)
+    assert len(pmc.lowered.parametric) == 2
+    assert 0 < len(corners) < len(kept)
+
+
+def test_a_corner_that_raises_is_not_kept():
+    # 2x leaves [0, 1] at x = 3/5: each box with that corner raises, also
+    # after a box of the same verifier raised there.
+    states = (StateLabel(0, ()), StateLabel(1, (("V", "a"),)), StateLabel(1, (("V", "b"),)))
+    edges = (((1, C(2) * X), (2, ONE - C(2) * X)), ((1, ONE),), ((2, ONE),))
+    pmc = PMC(states, 0, edges, (("x", (Fraction(4, 10), Fraction(6, 10))),))
+    verifier = RegionVerifier(pmc, ReachSpec(frozenset({1}), "<=", Fraction(1, 2)))
+    with pytest.raises(NotWellFormed):
+        verifier.verify(toy_box("2/5", "3/5"))
+    assert verifier.verify(toy_box("2/5", "1/2")) is Verdict.REJECTING
+    with pytest.raises(NotWellFormed):
+        verifier.verify(toy_box("1/2", "3/5"))
 
 
 # -- the work of one round -------------------------------------------------------
