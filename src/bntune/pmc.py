@@ -173,27 +173,79 @@ def _retained_sets(order: Sequence[str], variable_map) -> list[tuple[str, ...]]:
     return retained
 
 
+def _narrow_order(net: ParamBN, expanded: set[str]) -> tuple[str, ...]:
+    """A topological order of ``expanded`` that keeps the carried sets small.
+
+    Greedy, as in elimination-order heuristics: of the variables whose parents
+    are all expanded, take the one after which the carried set (see
+    :func:`_retained_sets`) has the fewest value combinations; ties go to the
+    earliest declared.  ``expanded`` must hold every parent of its members.
+    """
+    sizes = {v.name: len(v.values) for v in net.variables if v.name in expanded}
+    parents = {name: net.variable_map[name].parents for name in sizes}
+    children: dict[str, list[str]] = {name: [] for name in sizes}
+    for name, ps in parents.items():
+        for p in ps:
+            children[p].append(name)
+    unready = {name: len(ps) for name, ps in parents.items()}
+    # Unexpanded children of each expanded variable; the carried set is the
+    # expanded variables with a positive count, of `combos` value combinations.
+    pending: dict[str, int] = {}
+    combos = 1
+    position = {name: i for i, name in enumerate(sizes)}
+    ready = [name for name, n in unready.items() if not n]
+    order: list[str] = []
+
+    def cost(name: str) -> tuple[int, int]:
+        dropped = math.prod(sizes[p] for p in parents[name] if pending[p] == 1)
+        return sizes[name] * (combos // dropped), position[name]
+
+    while ready:
+        chosen = min(ready, key=cost)
+        ready.remove(chosen)
+        order.append(chosen)
+        for p in parents[chosen]:
+            pending[p] -= 1
+            if not pending[p]:
+                combos //= sizes[p]
+        pending[chosen] = len(children[chosen])
+        if pending[chosen]:
+            combos *= sizes[chosen]
+        for child in children[chosen]:
+            unready[child] -= 1
+            if not unready[child]:
+                ready.append(child)
+    return tuple(order)
+
+
 class _Builder:
     """Shared machinery for plain and evidence-tailored compilation.
 
-    The order is validated over every variable; a tailored build then keeps
-    only the ancestral set of the hypothesis and evidence variables.
+    A tailored build expands only the ancestral set of the hypothesis and
+    evidence variables.  A given order is validated over every variable and
+    then restricted to the expanded ones; without one, :func:`_narrow_order`
+    picks the order.
     """
 
     def __init__(self, net: ParamBN, order, constraint: Constraint | None):
         self.cpt_map, self.variable_map, self.params = net.cpt_map, net.variable_map, net.params
-        self.order = topological_order(net, order)
         self.constraint = constraint
         self.evidence = dict(constraint.evidence) if constraint else {}
         self.hypothesis = dict(constraint.hypothesis) if constraint else {}
-        if constraint is not None:
-            # Children come after their parents, so one backward sweep
-            # collects every ancestor of the hypothesis and evidence.
-            relevant = {*self.hypothesis, *self.evidence}
-            for name in reversed(self.order):
-                if name in relevant:
-                    relevant.update(self.variable_map[name].parents)
-            self.order = tuple(v for v in self.order if v in relevant)
+        if constraint is None:
+            expanded = set(self.variable_map)
+        else:
+            expanded = set()
+            stack = [*self.hypothesis, *self.evidence]
+            while stack:
+                name = stack.pop()
+                if name not in expanded:
+                    expanded.add(name)
+                    stack.extend(self.variable_map[name].parents)
+        if order is None:
+            self.order = _narrow_order(net, expanded)
+        else:
+            self.order = tuple(v for v in topological_order(net, order) if v in expanded)
         self.retained = _retained_sets(self.order, self.variable_map)
         self.point = None if net.origin is None else dict(net.origin)
         self.states: list[StateLabel] = []
@@ -279,9 +331,10 @@ class _Builder:
 def compile_chain(net: ParamBN, order: Sequence[str] | None = None) -> PMC:
     """Compile a network into its level-structured chain.
 
-    ``order`` must be a topological order of the variables (default: the
-    declaration order, repaired to a topological one).  A state labels an
-    expanded variable only while a later table still needs its value.
+    ``order`` must be a topological order of the variables.  Without one,
+    the ready variable that leaves the fewest carried value combinations is
+    expanded next (ties in declaration order).  A state labels an expanded
+    variable only while a later table still needs its value.
     """
     return _Builder(net, order, None).build()[0]
 
@@ -295,7 +348,8 @@ def compile_tailored(
 
     Only the hypothesis and evidence variables and their ancestors are
     expanded; any other variable is barren and leaves the conditional
-    unchanged.  ``order`` must still list every variable.  The chain keeps
+    unchanged.  ``order`` must still list every variable; without one, the
+    expanded variables are ordered as in :func:`compile_chain`.  The chain keeps
     every declared parameter in ``params``, even one that no edge carries.
     Transitions into states that would violate an evidence literal restart at
     the initial state, so the probability of reaching the hypothesis-true

@@ -355,7 +355,14 @@ class Region:
         mid = (lb + ub) / 2
         left = self.intervals[:axis] + ((lb, mid),) + self.intervals[axis + 1 :]
         right = self.intervals[:axis] + ((mid, ub),) + self.intervals[axis + 1 :]
-        return Region(self.params, left), Region(self.params, right)
+        return self._half(left), self._half(right)
+
+    def _half(self, intervals: tuple[tuple[Fraction, Fraction], ...]) -> "Region":
+        """A box over the same parameters and lookup index, built unchecked:
+        lb < mid < ub keeps both halves of a valid box valid."""
+        half = object.__new__(Region)
+        vars(half).update(params=self.params, intervals=intervals, _index=self._index)
+        return half
 
     def sort_key(self) -> tuple:
         return self.intervals

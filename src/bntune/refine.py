@@ -94,7 +94,9 @@ def partition(
     accepting: list[Region] = []
     rejecting: list[Region] = []
     unknown: list[Region] = []
-    covered = Fraction(0)  # conclusive share of the input volume
+    # The conclusive share of the input volume is covered / 2**scale; depths
+    # never decrease in breadth-first order, so a shift keeps it exact.
+    covered, scale = 0, 0
     verifications = 0
     queue: deque[tuple[Region, int]] = deque([(region, 0)])
 
@@ -104,13 +106,13 @@ def partition(
             tuple(sorted(accepting, key=Region.sort_key)),
             tuple(sorted(rejecting, key=Region.sort_key)),
             tuple(sorted(leftovers, key=Region.sort_key)),
-            covered,
+            Fraction(covered, 1 << scale),
             verifications,
         )
 
     def give_up() -> CoverageUnreachable:
         return CoverageUnreachable(
-            f"conclusive coverage {float(covered):.6g} after "
+            f"conclusive coverage {covered / (1 << scale):.6g} after "
             f"{verifications} verifications, needed {float(eta):.6g}",
             partial=result(),
         )
@@ -118,6 +120,8 @@ def partition(
     done = False
     while queue and not done:
         box, depth = queue.popleft()
+        covered <<= depth - scale
+        scale = depth
         verdict = verifier.verify(box)
         verifications += 1
         if verdict is Verdict.ACCEPTING:
@@ -125,9 +129,9 @@ def partition(
         elif verdict is Verdict.REJECTING:
             rejecting.append(box)
         if verdict is not Verdict.INCONCLUSIVE:
-            covered += Fraction(1, 2**depth)
-        searching = until_accepting and not accepting and covered < 1
-        done = covered >= eta and not searching
+            covered += 1
+        searching = until_accepting and not accepting and covered < 1 << scale
+        done = covered * eta.denominator >= eta.numerator << scale and not searching
         if verdict is Verdict.INCONCLUSIVE:
             if done or not live_axes:
                 unknown.append(box)
@@ -136,7 +140,7 @@ def partition(
                 queue.extend((half, depth + 1) for half in halves)
         if not done and verifications >= guard:
             raise give_up()
-    if covered < eta:
+    if covered * eta.denominator < eta.numerator << scale:
         raise give_up()
     return result()
 

@@ -18,6 +18,7 @@ from bntune import (
     compile_tailored,
     parametrize,
     reach_prob,
+    topological_order,
 )
 from bntune.bn import Constraint
 from bntune.errors import BadRegion, NotWellFormed, TooLarge, UnboundParameter
@@ -580,7 +581,7 @@ def assert_no_more_work_than_the_whole_pass(pmc: PMC, spec: ReachSpec, box: Regi
 
 
 def test_layered_6x6_pass_is_its_parametric_skeleton():
-    # 3 of the 709 states carry a parameter; the pass keeps them and the two
+    # 3 of the 317 states carry a parameter; the pass keeps them and the two
     # collapsed states that they read directly, of two coefficients each.
     pbn, constraint = build_layered_6x6()
     pmc, spec = compile_tailored(pbn, constraint)
@@ -691,7 +692,11 @@ def test_layered_6x6_lowers_each_weight_once(monkeypatch):
     # caller walks the same 5 states of its pass.
     assert structures == [pmc.solver(spec.targets)]
     assert verifier.solver is structures[0] and other.solver is structures[0]
-    assert len(structures[0].order) == 707 and len(structures[0]._pass) == 5
+    assert len(structures[0].order) == 315 and len(structures[0]._pass) == 5
+    # The declaration order gives a wider chain with the same pass.
+    wide, wide_spec = compile_tailored(pbn, constraint, order=topological_order(pbn))
+    solver = wide.solver(wide_spec.targets)
+    assert len(solver.order) == 707 and len(solver._pass) == 5
 
 
 def _chain_results(pmc, spec, box, points, order):

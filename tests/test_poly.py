@@ -254,6 +254,22 @@ def test_region_vertices_and_split():
         box.split(1)
 
 
+def test_split_halves_equal_boxes_built_by_the_constructor():
+    rng = random.Random(11)
+    for _ in range(200):
+        params = tuple(f"p{i}" for i in range(rng.randint(1, 4)))
+        intervals = tuple(
+            tuple(sorted(Fraction(rng.randrange(1, 64), 64) for _ in "lu")) for _ in params
+        )
+        box = Region(params, intervals)
+        for axis in (i for i, (lb, ub) in enumerate(intervals) if lb < ub):
+            for half in box.split(axis):
+                checked = Region(params, half.intervals)
+                assert half == checked and hash(half) == hash(checked)
+                assert [half.interval(n) for n in params] == list(checked.intervals)
+                assert half.split(axis) == checked.split(axis)
+
+
 def test_region_restrict_preserves_order():
     box = Region.from_bounds(
         {"p": (Fraction(1, 4), Fraction(1, 2)), "q": (Fraction(1, 5), Fraction(2, 5))}

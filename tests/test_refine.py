@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 from collections import deque
 from fractions import Fraction
@@ -21,6 +22,7 @@ from bntune.errors import CoverageUnreachable
 from bntune.lifting import RegionVerifier, Verdict
 from bntune.pmc import ReachSpec
 from bntune.refine import PartitionResult, boxes_csv, partition
+from bntune.tune import Hyper, tune
 from conftest import random_constraint, random_net, random_parametrization, random_region, state_index
 
 
@@ -226,6 +228,36 @@ def test_partition_keeps_degenerate_axes(covid_pbn, covid_constraint):
     )
     assert res.coverage == 1  # everything rejects at p = 0.7
     assert res.accepting == ()
+
+
+def test_coverage_is_the_conclusive_share_on_every_covid_partition(covid_net, covid_pbn, monkeypatch):
+    # The four tune requests of the bench's covid workload.
+    seen = []
+
+    def recording(pmc, spec, region, *args, **kwargs):
+        try:
+            result = partition(pmc, spec, region, *args, **kwargs)
+        except CoverageUnreachable as exc:
+            seen.append((region, exc.partial))
+            raise
+        seen.append((region, result))
+        return result
+
+    monkeypatch.setattr(importlib.import_module("bntune.tune"), "partition", recording)
+    rows = (("PCR", ("yes",), 0), ("PCR", ("no",), 0))
+    pcr = parametrize(covid_net, rows, dict(zip(rows, "qr")))
+    hypothesis, evidence = (("COVID-19", "no"),), (("Antigen", "pos"), ("PCR", "pos"))
+    for pbn, measure, direction, threshold, hyper in (
+        (covid_pbn, "ec", "<=", Fraction(9, 1000), Hyper()),
+        (pcr, "cd", "<=", Fraction(9, 1000), Hyper(eta=Fraction(9, 10))),
+        (covid_pbn, "ec", ">=", Fraction(2, 100), Hyper()),
+        (covid_pbn, "ec", "<=", Fraction(0), Hyper(eta=Fraction(1))),
+    ):
+        tune(pbn, Constraint(hypothesis, evidence, direction, threshold), measure, hyper)
+    assert len(seen) >= 12
+    for region, result in seen:
+        conclusive = sum(box.volume() for box in result.accepting + result.rejecting)
+        assert result.coverage == conclusive / region.volume()
 
 
 def test_boxes_csv_layout(toy_chain):
