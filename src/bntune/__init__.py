@@ -5,7 +5,7 @@ verifying parameter boxes soundly.
 Typical flow: build or parse a network, pick tunable entries with
 :func:`parametrize` (or a parameter file), state a :class:`Constraint`, and
 call :func:`tune`; or work at the lower levels with :func:`compile_tailored`,
-:func:`verify_region`, and :func:`partition`.
+a :class:`RegionVerifier`, and :func:`partition`.
 """
 
 from . import errors, oracle
@@ -31,10 +31,8 @@ from .lifting import (
     RegionVerifier,
     Verdict,
     extremal_reach,
-    region_bounds,
     relax,
     substitute,
-    verify_region,
 )
 from .oracle import cd_exact, grid_min_distance, infer, joint_table
 from .pmc import (
@@ -121,12 +119,10 @@ __all__ = [
     "parse_param_spec",
     "partition",
     "reach_prob",
-    "region_bounds",
     "relax",
     "sensitivity_function",
     "substitute",
     "to_dot",
     "topological_order",
     "tune",
-    "verify_region",
 ]

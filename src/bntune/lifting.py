@@ -222,15 +222,3 @@ class RegionVerifier:
             return Verdict.REJECTING
         return Verdict.INCONCLUSIVE
 
-
-def verify_region(pmc: PMC, spec: ReachSpec, region: Region) -> Verdict:
-    """One-shot sound classification of a box against the constraint."""
-    return RegionVerifier(pmc, spec).verify(region)
-
-
-def region_bounds(
-    pmc: PMC, targets: frozenset[int] | set[int], region: Region
-) -> tuple[float, float]:
-    """Sound bounds on Pr(reach targets) over the box, without a threshold."""
-    dummy = ReachSpec(frozenset(targets), "<=", Fraction(1))
-    return RegionVerifier(pmc, dummy).bounds(region)

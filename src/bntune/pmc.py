@@ -32,18 +32,14 @@ ELIMINATION_GUARD = 10**4
 
 @dataclass(frozen=True)
 class StateLabel:
-    """What a chain state remembers: expansion level, retained values, and
-    (for evidence-tailored chains) whether the hypothesis still holds."""
+    """What a chain state remembers: expansion level, the values of its
+    level's carried set (each earlier variable that a later table still
+    needs, then the level's own variable), and (for evidence-tailored
+    chains) whether the hypothesis still holds."""
 
     level: int
     assignment: tuple[tuple[str, str], ...]
     hypothesis: bool | None = None
-
-    def value_of(self, var: str) -> str | None:
-        for name, value in self.assignment:
-            if name == var:
-                return value
-        return None
 
     def __str__(self) -> str:
         body = ", ".join(f"{n}={v}" for n, v in self.assignment) or "init"
@@ -156,30 +152,19 @@ class ReachSpec:
         return probability >= self.threshold
 
 
-def _retained_sets(order: Sequence[str], variable_map) -> list[tuple[str, ...]]:
-    """Per level, which already-expanded variables the state still labels.
+def _narrow_order(
+    net: ParamBN, expanded: set[str], given: Sequence[str] | None = None
+) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
+    """A topological order of ``expanded`` and, per level, its carried set.
 
-    The just-expanded variable is always labeled at its own level; an earlier
-    variable is kept only while a later variable's table lists it as a parent.
-    """
-    retained: list[tuple[str, ...]] = [()]
-    for level in range(1, len(order) + 1):
-        needed_later = set()
-        for later in order[level:]:
-            needed_later.update(variable_map[later].parents)
-        retained.append(
-            tuple(v for v in order[:level] if v == order[level - 1] or v in needed_later)
-        )
-    return retained
-
-
-def _narrow_order(net: ParamBN, expanded: set[str]) -> tuple[str, ...]:
-    """A topological order of ``expanded`` that keeps the carried sets small.
-
-    Greedy, as in elimination-order heuristics: of the variables whose parents
-    are all expanded, take the one after which the carried set (see
-    :func:`_retained_sets`) has the fewest value combinations; ties go to the
-    earliest declared.  ``expanded`` must hold every parent of its members.
+    A level's carried set is every earlier variable that an unexpanded one
+    still lists as a parent, in expansion order, then the level's own
+    variable.  ``given`` is an explicit order: it is validated over every
+    variable, restricted to ``expanded`` and followed.  Without it the sweep
+    is greedy, as in elimination-order heuristics: of the variables whose
+    parents are all expanded, take the one after which the carried set has
+    the fewest value combinations; ties go to the earliest declared.
+    ``expanded`` must hold every parent of its members.
     """
     sizes = {v.name: len(v.values) for v in net.variables if v.name in expanded}
     parents = {name: net.variable_map[name].parents for name in sizes}
@@ -188,43 +173,48 @@ def _narrow_order(net: ParamBN, expanded: set[str]) -> tuple[str, ...]:
         for p in ps:
             children[p].append(name)
     unready = {name: len(ps) for name, ps in parents.items()}
-    # Unexpanded children of each expanded variable; the carried set is the
-    # expanded variables with a positive count, of `combos` value combinations.
+    # Each carried variable's count of unexpanded children, in expansion
+    # order; `combos` is the number of their value combinations.
     pending: dict[str, int] = {}
     combos = 1
     position = {name: i for i, name in enumerate(sizes)}
     ready = [name for name, n in unready.items() if not n]
+    if given is not None:
+        given = [v for v in topological_order(net, given) if v in expanded]
     order: list[str] = []
+    carried: list[tuple[str, ...]] = []
 
     def cost(name: str) -> tuple[int, int]:
         dropped = math.prod(sizes[p] for p in parents[name] if pending[p] == 1)
         return sizes[name] * (combos // dropped), position[name]
 
     while ready:
-        chosen = min(ready, key=cost)
+        chosen = min(ready, key=cost) if given is None else given[len(order)]
         ready.remove(chosen)
         order.append(chosen)
         for p in parents[chosen]:
             pending[p] -= 1
             if not pending[p]:
+                del pending[p]
                 combos //= sizes[p]
-        pending[chosen] = len(children[chosen])
-        if pending[chosen]:
+        carried.append((*pending, chosen))
+        if children[chosen]:
+            pending[chosen] = len(children[chosen])
             combos *= sizes[chosen]
         for child in children[chosen]:
             unready[child] -= 1
             if not unready[child]:
                 ready.append(child)
-    return tuple(order)
+    return tuple(order), carried
 
 
 class _Builder:
     """Shared machinery for plain and evidence-tailored compilation.
 
     A tailored build expands only the ancestral set of the hypothesis and
-    evidence variables.  A given order is validated over every variable and
-    then restricted to the expanded ones; without one, :func:`_narrow_order`
-    picks the order.
+    evidence variables.  :func:`_narrow_order` follows a given order, or picks
+    one, and yields each level's carried set: the variables whose values the
+    level's states label.
     """
 
     def __init__(self, net: ParamBN, order, constraint: Constraint | None):
@@ -242,11 +232,7 @@ class _Builder:
                 if name not in expanded:
                     expanded.add(name)
                     stack.extend(self.variable_map[name].parents)
-        if order is None:
-            self.order = _narrow_order(net, expanded)
-        else:
-            self.order = tuple(v for v in topological_order(net, order) if v in expanded)
-        self.retained = _retained_sets(self.order, self.variable_map)
+        self.order, self.carried = _narrow_order(net, expanded, order)
         self.point = None if net.origin is None else dict(net.origin)
         self.states: list[StateLabel] = []
         self.index: dict[StateLabel, int] = {}
@@ -281,19 +267,17 @@ class _Builder:
         # memoized by id: hashing a Polynomial costs more than it saves.
         reached = {initial}
         positive: dict[int, bool] = {}
-        for level, var_name in enumerate(self.order):
+        for level, (var_name, keep) in enumerate(zip(self.order, self.carried)):
             variable = self.variable_map[var_name]
             table = self.cpt_map[var_name]
-            keep = self.retained[level + 1]
             ev_value = self.evidence.get(var_name)
             hyp_value = self.hypothesis.get(var_name)
             next_frontier: list[int] = []
             seen: set[int] = set()
             for source in frontier:
                 label = self.states[source]
-                parent_values = tuple(label.value_of(p) for p in variable.parents)
-                row = table.row(parent_values)
                 values = dict(label.assignment)
+                row = table.row(tuple(values[p] for p in variable.parents))
                 live = tailored and source in reached
                 for value_label, entry in zip(variable.values, row):
                     if entry.is_zero():

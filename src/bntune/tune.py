@@ -221,19 +221,19 @@ def _measure(measure: str):
 
 def minimal_instantiation(
     pbn: ParamBN,
-    u0: Mapping[str, Fraction],
     boxes: Sequence[Region],
     measure: str = "ec",
 ) -> tuple[dict[str, Fraction], float]:
-    """The point of the given boxes closest to ``u0``.
+    """The point of the given boxes closest to the original values.
 
     Both supported distances decrease axis-wise towards the original value,
-    so per box the closest point clamps ``u0`` into the box; ties between
-    boxes keep the earliest box.
+    so per box the closest point clamps the original values into the box;
+    ties between boxes keep the earliest box.
     """
     distance_fn, _ = _measure(measure)
     if not boxes:
         raise EmptyInput("no boxes to pick an instantiation from")
+    u0 = pbn.origin_instantiation()
     best_point: dict[str, Fraction] | None = None
     best = math.inf
     for box in boxes:
@@ -317,7 +317,7 @@ def tune(
             )
         )
         if result.accepting:
-            point, dist = minimal_instantiation(pbn, u0, result.accepting, measure)
+            point, dist = minimal_instantiation(pbn, result.accepting, measure)
             prob = reach_prob(chain, point, spec.targets)
             if not spec.satisfied_by(prob):  # pragma: no cover - soundness guard
                 raise NotWellFormed(

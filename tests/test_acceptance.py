@@ -244,7 +244,7 @@ def test_criterion_08_candidate_beats_grid():
                 pbn = random_single_cpt_parametrization(rng, net)
             region = random_region(rng, pbn)
             u0 = pbn.origin_instantiation()
-            candidate, dist = minimal_instantiation(pbn, u0, [region], measure=measure)
+            candidate, dist = minimal_instantiation(pbn, [region], measure=measure)
             names = region.params
             grid_dists = sample_distance(_grid_points(region), u0, names)
             candidate_dist = sample_distance(

@@ -16,8 +16,8 @@ EXPORTS = [
     "errors", "expand_region_cd", "expand_region_ec", "extremal_reach", "float17",
     "grid_min_distance", "infer", "instantiate", "joint_table", "minimal_instantiation",
     "net_from_tables", "oracle", "parametrize", "parse_constraint", "parse_network",
-    "parse_param_spec", "partition", "reach_prob", "region_bounds", "relax",
-    "sensitivity_function", "substitute", "to_dot", "topological_order", "tune", "verify_region",
+    "parse_param_spec", "partition", "reach_prob", "relax", "sensitivity_function",
+    "substitute", "to_dot", "topological_order", "tune",
 ]
 
 

@@ -29,7 +29,6 @@ from bntune.lifting import (
     RegionVerifier,
     Verdict,
     extremal_reach,
-    region_bounds,
     relax,
     substitute,
 )
@@ -94,7 +93,8 @@ def test_relaxation_bounds_contain_the_shared_parameter_bounds():
     pbn, pmc = shared_param_chain()
     leaf = state_index(pmc, 2, (("B", "a"),))
     box = Region.from_bounds({"t": (Fraction(1, 5), Fraction(2, 5))})
-    lo, hi = region_bounds(pmc, {leaf}, box)
+    spec = ReachSpec(frozenset({leaf}), "<=", Fraction(1))
+    lo, hi = RegionVerifier(pmc, spec).bounds(box)
     # True range of P(B=a) = t^2 + (1-t)/2 over [0.2, 0.4].
     samples = [Fraction(1, 5) + Fraction(i, 100) for i in range(21)]
     values = [t * t + (1 - t) / 2 for t in samples]
@@ -275,7 +275,7 @@ def test_corner_that_always_restarts_has_value_zero():
     mdp = substitute(relax(pmc), box)
     assert extremal_reach(mdp, {1}, "min") == 0.0
     assert extremal_reach(mdp, {1}, "max") == 0.5
-    lo, hi = region_bounds(pmc, {1}, box)
+    lo, hi = RegionVerifier(pmc, ReachSpec(frozenset({1}), "<=", Fraction(1))).bounds(box)
     assert lo == 0.0 and 0.5 <= hi <= 0.5 + 1e-12
 
 
@@ -811,10 +811,11 @@ def test_bounds_sandwich_sampled_reachability(covid_pbn, covid_constraint):
 def test_bounds_shrink_under_refinement(covid_pbn, covid_constraint):
     pmc, spec = compile_tailored(covid_pbn, covid_constraint)
     box = Region.from_bounds({"p": (Fraction(3, 5), Fraction(9, 10)), "q": (Fraction(9, 10), Fraction(99, 100))})
-    lo, hi = region_bounds(pmc, spec.targets, box)
+    verifier = RegionVerifier(pmc, spec)
+    lo, hi = verifier.bounds(box)
     left, right = box.split(0)
     for part in (left, right):
-        sub_lo, sub_hi = region_bounds(pmc, spec.targets, part)
+        sub_lo, sub_hi = verifier.bounds(part)
         assert sub_lo >= lo - 5e-10
         assert sub_hi <= hi + 5e-10
 
@@ -822,7 +823,7 @@ def test_bounds_shrink_under_refinement(covid_pbn, covid_constraint):
 def test_bounds_agreement_with_enumeration_oracle(covid_pbn, covid_constraint):
     pmc, spec = compile_tailored(covid_pbn, covid_constraint)
     box = Region.from_bounds({"p": (Fraction(7, 10), Fraction(3, 4)), "q": (Fraction(9, 10), Fraction(24, 25))})
-    lo, hi = region_bounds(pmc, spec.targets, box)
+    lo, hi = RegionVerifier(pmc, spec).bounds(box)
     rng = random.Random(5)
     for _ in range(20):
         u = {"p": rng.uniform(0.7, 0.75), "q": rng.uniform(0.9, 0.96)}

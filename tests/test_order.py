@@ -34,7 +34,7 @@ from bntune import (
 from bntune.cli import main
 from bntune.errors import CoverageUnreachable
 from bntune.refine import partition
-from conftest import build_layered_6x6, layered_tables
+from conftest import build_layered_6x6, layered_tables, random_constraint, random_net
 
 FILES = Path(__file__).resolve().parent.parent / "demos" / "files"
 DEMO_CONSTRAINT = "P(COVID-19=no | Antigen=pos & PCR=pos) <= 0.009"
@@ -76,6 +76,41 @@ def test_default_order_expands_each_child_after_its_parent():
     declared = compile_chain(net, order=topological_order(net))
     assert expansion_order(declared) == ["A", "B", "C", "X", "Y", "Z"]
     assert widths(declared) == [1, 2, 4, 8, 8, 4, 2]
+
+
+def carried_by_definition(net, order) -> list[tuple[str, ...]]:
+    """Per level from 1: ``order[level - 1]`` and each earlier variable that a
+    parent list in ``order[level:]`` names, in expansion order."""
+    carried = []
+    for level in range(1, len(order) + 1):
+        needed = {p for later in order[level:] for p in net.variable_map[later].parents}
+        carried.append(
+            tuple(v for v in order[:level] if v == order[level - 1] or v in needed)
+        )
+    return carried
+
+
+def test_states_carry_exactly_what_a_later_table_needs():
+    rng = random.Random(20)
+    for _ in range(60):
+        net = random_net(rng, max_nodes=10)
+        constraint = random_constraint(rng, net)
+        for order in (None, topological_order(net)):
+            for chain in (
+                compile_chain(net, order=order),
+                compile_tailored(net, constraint, order=order)[0],
+            ):
+                expanded = expansion_order(chain)
+                position = {name: i for i, name in enumerate(expanded)}
+                # Each parent is expanded, and earlier.
+                for i, name in enumerate(expanded):
+                    for p in net.variable_map[name].parents:
+                        assert position.get(p, i) < i
+                if order is not None:
+                    assert expanded == [v for v in order if v in position]
+                carried = [()] + carried_by_definition(net, expanded)
+                for state in chain.states:
+                    assert tuple(n for n, _ in state.assignment) == carried[state.level]
 
 
 def test_default_order_of_the_demo_network_is_its_declaration_order():
@@ -158,8 +193,9 @@ def test_default_and_declaration_orders_give_the_same_answers(size, with_evidenc
 
 
 def test_declaration_order_rebuilds_the_declaration_order_chains():
-    # The committed demo chain and this digest of the bench net's chain were
-    # both rendered when the declaration order was the default.
+    # The committed demo chain and the first digest of the bench net's chain
+    # were both rendered when the declaration order was the default; the
+    # second pins the bench net's chain in the default order.
     net = parse_network((FILES / "diagnostic.net").read_text())
     pbn = parse_param_spec((FILES / "diagnostic.params").read_text(), net)
     constraint = parse_constraint(DEMO_CONSTRAINT, pbn)
@@ -173,6 +209,12 @@ def test_declaration_order_rebuilds_the_declaration_order_chains():
     dot = to_dot(chain, tuple(sorted(spec.targets))).encode()
     assert hashlib.sha256(dot).hexdigest() == (
         "334b020ab453ae314d64ed1c02c32e7bb7b296d8a64a677036be926ff46edb92"
+    )
+    chain, spec = compile_tailored(pbn, constraint)
+    assert chain.n_states == 317
+    dot = to_dot(chain, tuple(sorted(spec.targets))).encode()
+    assert hashlib.sha256(dot).hexdigest() == (
+        "ba53d67af1e82dc8e0f900e57c33f89106dfff94f139446d6d6c3529dca554b0"
     )
 
 

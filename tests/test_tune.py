@@ -274,11 +274,10 @@ def test_expand_region_cd_rejects_multiple_cpts(covid_pbn):
 
 
 def test_minimal_instantiation_projects_origin(covid_pbn):
-    u0 = covid_pbn.origin_instantiation()
     box = Region.from_bounds(
         {"p": ("0.960375", "0.97028175"), "q": ("0.9431875", "0.9495")}
     )
-    point, dist = minimal_instantiation(covid_pbn, u0, [box], measure="ec")
+    point, dist = minimal_instantiation(covid_pbn, [box], measure="ec")
     assert point == {"p": as_fraction("0.960375"), "q": as_fraction("0.9495")}
     assert dist == pytest.approx(math.hypot(0.960375 - 0.72, 0.95 - 0.9495), abs=1e-12)
 
@@ -286,46 +285,43 @@ def test_minimal_instantiation_projects_origin(covid_pbn):
 def test_minimal_instantiation_origin_inside_box(covid_pbn):
     u0 = covid_pbn.origin_instantiation()
     box = Region.from_bounds({"p": ("0.7", "0.8"), "q": ("0.9", "0.96")})
-    point, dist = minimal_instantiation(covid_pbn, u0, [box], measure="ec")
+    point, dist = minimal_instantiation(covid_pbn, [box], measure="ec")
     assert point == dict(u0)
     assert dist == 0.0
 
 
 def test_minimal_instantiation_picks_best_box(covid_pbn):
-    u0 = covid_pbn.origin_instantiation()
     far = Region.from_bounds(
         {"p": ("0.960375", "0.97028175"), "q": ("0.9431875", "0.9495")}
     )
     winner = Region.from_bounds(
         {"p": ("0.92075", "0.960375"), "q": ("0.97475", "0.999999")}
     )
-    point, dist = minimal_instantiation(covid_pbn, u0, [far, winner], measure="ec")
+    point, dist = minimal_instantiation(covid_pbn, [far, winner], measure="ec")
     assert point == {"p": as_fraction("0.92075"), "q": as_fraction("0.97475")}
     assert dist * dist == pytest.approx(0.040913125, abs=1e-12)
 
 
 def test_minimal_instantiation_tie_keeps_earliest(toy_pbn):
     # 0.4 - 0.25 and 0.55 - 0.4 are the same float, so this is an exact tie.
-    u0 = toy_pbn.origin_instantiation()
     left = Region.from_bounds({"x": ("0.2", "0.25")})
     right = Region.from_bounds({"x": ("0.55", "0.6")})
-    point, dist = minimal_instantiation(toy_pbn, u0, [left, right], measure="ec")
+    point, dist = minimal_instantiation(toy_pbn, [left, right], measure="ec")
     assert point == {"x": as_fraction("0.25")}
     assert dist == pytest.approx(0.15, abs=1e-12)
 
 
 def test_minimal_instantiation_cd_measure():
     pbn = _single_row_pbn()
-    u0 = pbn.origin_instantiation()
     box = Region.from_bounds({"x": ("0.6", "0.7")})
-    point, dist = minimal_instantiation(pbn, u0, [box], measure="cd")
+    point, dist = minimal_instantiation(pbn, [box], measure="cd")
     assert point == {"x": as_fraction("0.6")}
     assert dist == pytest.approx(math.log(1.5), abs=1e-12)
 
 
 def test_minimal_instantiation_requires_boxes(toy_pbn):
     with pytest.raises(EmptyInput):
-        minimal_instantiation(toy_pbn, toy_pbn.origin_instantiation(), [], measure="ec")
+        minimal_instantiation(toy_pbn, [], measure="ec")
 
 
 # ---------------------------------------------------------------------------
