@@ -77,31 +77,44 @@ def relax(pmc: PMC) -> PMC:
 def substitute(
     pmc: PMC,
     region: Region,
-    corners: dict[tuple[int, tuple[Fraction, ...]], tuple[tuple[int, float], ...]] | None = None,
+    corners: dict[tuple[int, tuple[tuple[int, int], ...]], tuple[tuple[int, float], ...]]
+    | None = None,
 ) -> BoundMDP:
     """Instantiate every endpoint combination of each state's own parameters.
 
     The region must give every parameter of the chain an interval inside the
-    declared one.  Each weight is its exact value at the corner, rounded
-    once, as the solver's rounding bound assumes.  Only the parametric states
-    of :attr:`PMC.lowered` are evaluated per box; the parameter-free states
-    share its actions.  ``corners`` maps (parametric state, corner values, in
-    the order of the state's sorted parameter names) to the state's checked
-    action there: a corner found in it is not evaluated again, and each
-    corner evaluated is added, so sibling boxes that share most corners
-    evaluate only the new ones.  A corner that raises is not added.
+    declared one.  That is checked once per box tree: a checked box is
+    marked with ``pmc.params``, and :meth:`Region.split` hands the mark to
+    both halves, so a half of a box checked against the same declared
+    intervals is not checked again.  A box built by the constructor carries
+    no mark.  Each weight is its exact value at the corner, rounded once, as
+    the solver's rounding bound assumes.  Only the parametric states of
+    :attr:`PMC.lowered` are evaluated per box; the parameter-free states
+    share its actions.  ``corners`` maps (parametric state, corner) to the
+    state's checked action there, where a corner lists the exact
+    ``(numerator, denominator)`` pair of each value, in the order of the
+    state's sorted parameter names.  The pairs are canonical, so equal
+    values give equal keys, and nested boxes share their common corners.  A
+    corner found in it is not evaluated again, and each corner evaluated is
+    added, so sibling boxes that share most corners evaluate only the new
+    ones.  A corner that raises is not added.
     """
-    choices: dict[str, tuple[Fraction, ...]] = {}
-    for name, (dlb, dub) in pmc.params:
+    params = pmc.params
+    unchecked = region._within is not params
+    choices: dict[str, tuple[tuple[int, int], ...]] = {}
+    for name, (dlb, dub) in params:
         try:
             lb, ub = region.interval(name)
         except KeyError:
             raise UnboundParameter(f"region gives no interval for parameter {name!r}") from None
-        if lb < dlb or ub > dub:
+        if unchecked and (lb < dlb or ub > dub):
             raise BadRegion(
                 f"interval [{lb}, {ub}] for {name!r} leaves the declared [{dlb}, {dub}]"
             )
-        choices[name] = (lb,) if lb == ub else (lb, ub)
+        low, high = lb.as_integer_ratio(), ub.as_integer_ratio()
+        choices[name] = (low,) if low == high else (low, high)
+    if unchecked:
+        object.__setattr__(region, "_within", params)
 
     if corners is None:
         corners = {}
@@ -111,8 +124,8 @@ def substitute(
         for corner in itertools.product(*(choices[name] for name in local)):
             action = corners.get((s, corner))
             if action is None:
-                action = _distribution(pmc.edges[s], dict(zip(local, corner)), {})
-                corners[s, corner] = action
+                point = {name: Fraction(n, d) for name, (n, d) in zip(local, corner)}
+                action = corners[s, corner] = _distribution(pmc.edges[s], point, {})
             state_actions[action] = None
         all_actions[s] = tuple(state_actions)
     return BoundMDP(pmc.states, pmc.initial, tuple(all_actions))
@@ -157,8 +170,11 @@ class RegionVerifier:
 
     Only what a box changes is evaluated: the verifier keeps every corner
     action that :func:`substitute` has computed for it, keyed by state and
-    corner values, so a box evaluates only the corners that no earlier box
-    of this verifier had.  A kept action is the one that evaluating the
+    the corner's exact ``(numerator, denominator)`` pairs, so a box
+    evaluates only the corners that no earlier box of this verifier had,
+    and looks the others up without hashing a :class:`Fraction`.  A half
+    that :func:`refine.partition` splits off a checked box is not checked
+    against the declared intervals again.  A kept action is the one that evaluating the
     corner again would give, bit for bit.  The corners last as long as the
     verifier: one :func:`tune.tune` run, or one :func:`refine.partition`
     run that builds its own, whose guard bounds the boxes, and so the

@@ -290,6 +290,12 @@ class Region:
     params: tuple[str, ...]
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
+    #: The declared intervals (a chain's ``params`` object) that this box is
+    #: known to lie within, or None: :func:`lifting.substitute` marks a box
+    #: that it has checked, and :meth:`split` hands the mark to both halves.
+    #: Not a field, so equality, hashing and ``repr`` ignore it.
+    _within = None
+
     def __post_init__(self):
         if len(self.params) != len(self.intervals):
             raise BadRegion("parameter list and interval list differ in length")
@@ -348,24 +354,31 @@ class Region:
             yield dict(zip(self.params, corner))
 
     def split(self, axis: int) -> tuple["Region", "Region"]:
-        """Bisect at the midpoint of the given axis."""
+        """Bisect at the midpoint of the given axis.
+
+        The midpoint ``(a/b + c/d) / 2`` is ``(a*d + c*b) / (2*b*d)``, built
+        as one :class:`Fraction` from integers.  Both halves lie within the
+        declared intervals that this box was checked against, so they keep
+        its mark (see :func:`lifting.substitute`).
+        """
         lb, ub = self.intervals[axis]
-        if lb == ub:
+        (a, b), (c, d) = lb.as_integer_ratio(), ub.as_integer_ratio()
+        if a * d == c * b:
             raise BadRegion(f"cannot split degenerate axis {self.params[axis]}")
-        mid = (lb + ub) / 2
+        mid = Fraction(a * d + c * b, 2 * b * d)
         left = self.intervals[:axis] + ((lb, mid),) + self.intervals[axis + 1 :]
         right = self.intervals[:axis] + ((mid, ub),) + self.intervals[axis + 1 :]
         return self._half(left), self._half(right)
 
     def _half(self, intervals: tuple[tuple[Fraction, Fraction], ...]) -> "Region":
-        """A box over the same parameters and lookup index, built unchecked:
-        lb < mid < ub keeps both halves of a valid box valid."""
+        """A box over the same parameters, lookup index and declared-box mark,
+        built unchecked: lb < mid < ub keeps both halves of a valid box valid,
+        and inside whatever declared box held this one."""
         half = object.__new__(Region)
-        vars(half).update(params=self.params, intervals=intervals, _index=self._index)
+        vars(half).update(
+            params=self.params, intervals=intervals, _index=self._index, _within=self._within
+        )
         return half
-
-    def sort_key(self) -> tuple:
-        return self.intervals
 
     def __str__(self) -> str:
         parts = ", ".join(

@@ -72,7 +72,11 @@ def partition(
 
     A box at bisection depth ``d`` is split on live axis ``d`` modulo their
     number, so the live axes take turns and every box at depth ``d`` holds
-    exactly ``1 / 2**d`` of the input volume.  Raises :class:`ValueError`
+    exactly ``1 / 2**d`` of the input volume.  Each box list is in the
+    order of the boxes' ``intervals``, found without comparing a bound: per
+    live axis a box keeps its index among the ``2**k`` slices that ``k``
+    splits cut, and the indices, scaled to a common depth, order the boxes
+    as their exact bounds do.  Raises :class:`ValueError`
     for an ``eta`` outside [0, 1] or a ``guard`` below 1, and
     :class:`CoverageUnreachable`, carrying the partial result, when
     ``guard`` verifications were spent or only unsplittable inconclusive
@@ -91,21 +95,49 @@ def partition(
         for i, (name, (lb, ub)) in enumerate(zip(region.params, region.intervals))
         if ub > lb and name in on_edges
     ]
-    accepting: list[Region] = []
-    rejecting: list[Region] = []
-    unknown: list[Region] = []
+    # Each box is kept with its depth and, per live axis, its bisection index:
+    # the box is sub-interval ``index[p]`` of the ``2**k`` that ``k`` splits
+    # of live axis ``p`` cut the input interval into.
+    Entry = tuple[Region, int, tuple[int, ...]]
+    accepting: list[Entry] = []
+    rejecting: list[Entry] = []
+    unknown: list[Entry] = []
     # The conclusive share of the input volume is covered / 2**scale; depths
     # never decrease in breadth-first order, so a shift keeps it exact.
     covered, scale = 0, 0
     verifications = 0
-    queue: deque[tuple[Region, int]] = deque([(region, 0)])
+    queue: deque[Entry] = deque([(region, 0, (0,) * len(live_axes))])
+
+    def splits(depth: int, p: int) -> int:
+        """How often a box at ``depth`` has been bisected along live axis ``p``."""
+        return (depth + len(live_axes) - 1 - p) // len(live_axes)
+
+    def ordered(entries: list[Entry]) -> tuple[Region, ...]:
+        """The boxes in the order of their exact intervals, found on the lattice.
+
+        On live axis ``p`` a box spans lattice steps ``index[p] << shift``
+        to ``(index[p] + 1) << shift``, where a step is the width of the
+        deepest box and ``shift`` the number of splits of ``p`` between the
+        two depths.  A step count grows with the exact bound it stands for,
+        and the other axes are the same for every box.
+        """
+        deepest = max((depth for _, depth, _ in entries), default=0)
+
+        def ends(entry: Entry) -> list[int]:
+            _, depth, index = entry
+            key = []
+            for p, j in enumerate(index):
+                shift = splits(deepest, p) - splits(depth, p)
+                key += (j << shift, (j + 1) << shift)
+            return key
+
+        return tuple(box for box, _, _ in sorted(entries, key=ends))
 
     def result() -> PartitionResult:
-        leftovers = unknown + [box for box, _ in queue]
         return PartitionResult(
-            tuple(sorted(accepting, key=Region.sort_key)),
-            tuple(sorted(rejecting, key=Region.sort_key)),
-            tuple(sorted(leftovers, key=Region.sort_key)),
+            ordered(accepting),
+            ordered(rejecting),
+            ordered(unknown + list(queue)),
             Fraction(covered, 1 << scale),
             verifications,
         )
@@ -119,25 +151,28 @@ def partition(
 
     done = False
     while queue and not done:
-        box, depth = queue.popleft()
+        entry = box, depth, index = queue.popleft()
         covered <<= depth - scale
         scale = depth
         verdict = verifier.verify(box)
         verifications += 1
         if verdict is Verdict.ACCEPTING:
-            accepting.append(box)
+            accepting.append(entry)
         elif verdict is Verdict.REJECTING:
-            rejecting.append(box)
+            rejecting.append(entry)
         if verdict is not Verdict.INCONCLUSIVE:
             covered += 1
         searching = until_accepting and not accepting and covered < 1 << scale
         done = covered * eta.denominator >= eta.numerator << scale and not searching
         if verdict is Verdict.INCONCLUSIVE:
             if done or not live_axes:
-                unknown.append(box)
+                unknown.append(entry)
             else:
-                halves = box.split(live_axes[depth % len(live_axes)])
-                queue.extend((half, depth + 1) for half in halves)
+                p = depth % len(live_axes)
+                left, right = box.split(live_axes[p])
+                j = 2 * index[p]
+                queue.append((left, depth + 1, index[:p] + (j,) + index[p + 1 :]))
+                queue.append((right, depth + 1, index[:p] + (j + 1,) + index[p + 1 :]))
         if not done and verifications >= guard:
             raise give_up()
     if covered * eta.denominator < eta.numerator << scale:

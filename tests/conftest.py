@@ -25,6 +25,7 @@ from bntune import (
     net_from_tables,
     parametrize,
 )
+from bntune.tune import Hyper
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -99,6 +100,24 @@ def build_covid_constraint() -> Constraint:
         "<=",
         Fraction(9, 1000),
     )
+
+
+def covid_tune_requests() -> list[tuple[ParamBN, Constraint, str, Hyper]]:
+    """The four tune requests of the bench's covid workload, as (pbn, constraint,
+    measure, hyper): ``ec`` and ``cd``, both directions, one infeasible."""
+    rows = (("PCR", ("yes",), 0), ("PCR", ("no",), 0))
+    pcr = parametrize(build_covid_net(), rows, dict(zip(rows, "qr")))
+    pbn = build_covid_pbn()
+    hypothesis, evidence = (("COVID-19", "no"),), (("Antigen", "pos"), ("PCR", "pos"))
+    return [
+        (chosen, Constraint(hypothesis, evidence, direction, threshold), measure, hyper)
+        for chosen, measure, direction, threshold, hyper in (
+            (pbn, "ec", "<=", Fraction(9, 1000), Hyper()),
+            (pcr, "cd", "<=", Fraction(9, 1000), Hyper(eta=Fraction(9, 10))),
+            (pbn, "ec", ">=", Fraction(2, 100), Hyper()),
+            (pbn, "ec", "<=", Fraction(0), Hyper(eta=Fraction(1))),
+        )
+    ]
 
 
 def covid_posterior(p, q):

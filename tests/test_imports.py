@@ -1,4 +1,5 @@
-"""Every module of the package and of its tests uses each name it imports.
+"""Every module of the package, of its tests and of the benchmark uses each
+name it imports.
 
 A stdlib-only stand-in for a linter's unused-import check.  A name counts
 as used when it is read anywhere in the module, annotations included (also
@@ -29,8 +30,10 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 SRC = ROOT / "src" / "bntune"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
-    TESTS.glob("*.py")
+MODULES = (
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    + sorted(TESTS.glob("*.py"))
+    + sorted((ROOT / "bench").glob("*.py"))
 )
 
 

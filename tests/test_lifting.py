@@ -35,12 +35,14 @@ from bntune.lifting import (
 from bntune.pmc import PMC, LeveledSolver, ReachSpec, StateLabel, sensitivity_function
 from bntune.oracle import infer
 from bntune.refine import partition
+from bntune.tune import tune
 from bntune import instantiate, net_from_tables
 from conftest import (
     build_covid_constraint,
     build_covid_net,
     build_covid_pbn,
     build_layered_6x6,
+    covid_tune_requests,
     layered_tables,
     random_constraint,
     random_net,
@@ -169,6 +171,65 @@ def test_substitute_rejects_missing_parameters(toy_pbn):
     pmc, _ = toy_chain(toy_pbn)
     with pytest.raises(UnboundParameter):
         substitute(relax(pmc), Region.from_bounds({"y": (Fraction(1, 4), Fraction(1, 2))}))
+
+
+# -- the declared-box check, made once per box tree -----------------------------
+
+
+def toy_verifier(lo: str, hi: str) -> RegionVerifier:
+    """A verifier of Pr(T = yes) <= 1/2 on the toy net, with x declared in [lo, hi]."""
+    net = net_from_tables([("T", ("yes", "no"), ())], {"T": {(): ("0.4", "0.6")}})
+    coord = ("T", (), 0)
+    pbn = parametrize(net, [coord], {coord: "x"}, intervals={"x": (Fraction(lo), Fraction(hi))})
+    pmc, yes = toy_chain(pbn)
+    return RegionVerifier(pmc, ReachSpec(frozenset({yes}), "<=", Fraction(1, 2)))
+
+
+def assert_rejected(verifier: RegionVerifier, box: Region, error=BadRegion) -> None:
+    with pytest.raises(error):
+        substitute(verifier.pmc, box)
+    with pytest.raises(error):
+        verifier.verify(box)
+
+
+def test_a_constructed_box_is_checked_after_halves_of_the_declared_box():
+    verifier = toy_verifier("1/5", "3/5")
+    for half in toy_box("1/5", "3/5").split(0):
+        verifier.verify(half)
+    assert_rejected(verifier, toy_box("1/10", "2/5"))
+    assert_rejected(verifier, toy_box("2/5", "7/10"))
+
+
+def test_halves_of_a_box_never_checked_are_checked():
+    verifier = toy_verifier("1/5", "3/5")
+    left, right = toy_box("1/10", "3/10").split(0)
+    assert_rejected(verifier, left)
+    # The other half, [1/5, 3/10], lies inside the declared box.
+    assert verifier.verify(right) is Verdict.ACCEPTING
+    # A box that failed its check passes no mark to its halves either.
+    outside = toy_box("1/10", "1/5")
+    assert_rejected(verifier, outside)
+    for half in outside.split(0):
+        assert_rejected(verifier, half)
+    # Halves split along another axis keep the offending one.
+    pmc, spec = compile_tailored(build_covid_pbn(), build_covid_constraint())
+    covid = RegionVerifier(pmc, spec)
+    box = Region.from_bounds({"p": ("1e-7", "0.5"), "q": ("0.5", "0.75")})
+    for half in box.split(1):
+        assert_rejected(covid, half)
+    unbound = Region.from_bounds({"q": ("0.5", "0.75"), "r": ("0.5", "0.75")})
+    for half in unbound.split(0):
+        assert_rejected(covid, half, UnboundParameter)
+
+
+def test_a_box_checked_against_one_chain_is_checked_again_against_a_narrower_one():
+    wide, narrow = toy_verifier("1/5", "3/5"), toy_verifier("3/10", "1/2")
+    box = toy_box("1/5", "3/5")
+    halves = box.split(0)
+    for checked in (box, *halves):
+        wide.verify(checked)
+    for checked in (box, *halves):
+        assert_rejected(narrow, checked)
 
 
 def test_substitute_rejects_weights_leaving_the_unit_interval():
@@ -543,6 +604,64 @@ def test_kept_corners_give_the_actions_of_a_fresh_substitution(
     assert all(c is corners for c in kept)
     assert len(pmc.lowered.parametric) == 2
     assert 0 < len(corners) < len(kept)
+
+
+def test_covid_tune_requests_evaluate_each_corner_once_without_fraction_keys(monkeypatch):
+    # Over the bench's four covid tune requests, each distinct (state,
+    # corner) of a verifier is evaluated once, 108 in all; substituting a
+    # split box neither hashes nor compares a Fraction.
+    evaluated = []
+    halves: dict[int, Region] = {}  # by id; holding them keeps the ids unique
+    fraction_calls = Counter()
+    watch = {"request": 0, "split box": False, "split calls": 0}
+
+    def counted(name):
+        original = getattr(Fraction, name)
+
+        def wrapper(self, *args):
+            if watch["split box"]:
+                fraction_calls[name] += 1
+            return original(self, *args)
+
+        return wrapper
+
+    for name in ("__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, counted(name))
+
+    split = Region.split
+
+    def recording_split(region, axis):
+        made = split(region, axis)
+        halves.update((id(half), half) for half in made)
+        return made
+
+    original_distribution = lifting._distribution
+
+    def counting_distribution(out, point, memo):
+        corner = tuple((name, v.numerator, v.denominator) for name, v in point.items())
+        evaluated.append((watch["request"], id(out), corner))
+        return original_distribution(out, point, memo)
+
+    original_substitute = lifting.substitute
+
+    def watching(pmc, region, corners=None):
+        is_half = id(region) in halves
+        watch["split calls"] += is_half
+        watch["split box"] = is_half
+        try:
+            return original_substitute(pmc, region, corners)
+        finally:
+            watch["split box"] = False
+
+    monkeypatch.setattr(Region, "split", recording_split)
+    monkeypatch.setattr(lifting, "_distribution", counting_distribution)
+    monkeypatch.setattr(lifting, "substitute", watching)
+    for request, (pbn, constraint, measure, hyper) in enumerate(covid_tune_requests()):
+        watch["request"] = request
+        tune(pbn, constraint, measure, hyper)
+    assert len(evaluated) == len(set(evaluated)) == 108
+    assert watch["split calls"] == 188
+    assert fraction_calls == Counter()
 
 
 def test_a_corner_that_raises_is_not_kept():

@@ -22,8 +22,16 @@ from bntune.errors import CoverageUnreachable
 from bntune.lifting import RegionVerifier, Verdict
 from bntune.pmc import ReachSpec
 from bntune.refine import PartitionResult, boxes_csv, partition
-from bntune.tune import Hyper, tune
-from conftest import random_constraint, random_net, random_parametrization, random_region, state_index
+from bntune.tune import tune
+from conftest import (
+    covid_tune_requests,
+    layered_tables,
+    random_constraint,
+    random_net,
+    random_parametrization,
+    random_region,
+    state_index,
+)
 
 
 @pytest.fixture
@@ -230,8 +238,9 @@ def test_partition_keeps_degenerate_axes(covid_pbn, covid_constraint):
     assert res.accepting == ()
 
 
-def test_coverage_is_the_conclusive_share_on_every_covid_partition(covid_net, covid_pbn, monkeypatch):
-    # The four tune requests of the bench's covid workload.
+def covid_tune_partitions(monkeypatch) -> list[tuple[Region, PartitionResult]]:
+    """(region, result) of every partition that the bench's four covid tune
+    requests run, a partial result where the partition gave up."""
     seen = []
 
     def recording(pmc, spec, region, *args, **kwargs):
@@ -244,20 +253,71 @@ def test_coverage_is_the_conclusive_share_on_every_covid_partition(covid_net, co
         return result
 
     monkeypatch.setattr(importlib.import_module("bntune.tune"), "partition", recording)
-    rows = (("PCR", ("yes",), 0), ("PCR", ("no",), 0))
-    pcr = parametrize(covid_net, rows, dict(zip(rows, "qr")))
-    hypothesis, evidence = (("COVID-19", "no"),), (("Antigen", "pos"), ("PCR", "pos"))
-    for pbn, measure, direction, threshold, hyper in (
-        (covid_pbn, "ec", "<=", Fraction(9, 1000), Hyper()),
-        (pcr, "cd", "<=", Fraction(9, 1000), Hyper(eta=Fraction(9, 10))),
-        (covid_pbn, "ec", ">=", Fraction(2, 100), Hyper()),
-        (covid_pbn, "ec", "<=", Fraction(0), Hyper(eta=Fraction(1))),
-    ):
-        tune(pbn, Constraint(hypothesis, evidence, direction, threshold), measure, hyper)
+    for pbn, constraint, measure, hyper in covid_tune_requests():
+        tune(pbn, constraint, measure, hyper)
     assert len(seen) >= 12
-    for region, result in seen:
+    return seen
+
+
+def test_coverage_is_the_conclusive_share_on_every_covid_partition(monkeypatch):
+    for region, result in covid_tune_partitions(monkeypatch):
         conclusive = sum(box.volume() for box in result.accepting + result.rejecting)
         assert result.coverage == conclusive / region.volume()
+
+
+# -- the order of the result lists -----------------------------------------------
+
+
+def assert_in_interval_order(result: PartitionResult) -> None:
+    for boxes in (result.accepting, result.rejecting, result.unknown):
+        assert list(boxes) == sorted(boxes, key=lambda box: box.intervals)
+
+
+def test_result_lists_follow_the_exact_intervals_on_every_covid_partition(monkeypatch):
+    # The radius boxes have non-dyadic ends such as 18/25 +- h, so the
+    # lattice order must agree with Fraction order on those.
+    seen = covid_tune_partitions(monkeypatch)
+    for _, result in seen:
+        assert_in_interval_order(result)
+    assert max(max(map(len, (r.accepting, r.rejecting, r.unknown))) for _, r in seen) >= 8
+
+
+def layered_with_a_dead_axis(seed: int, k: int):
+    """The bench's 4x4 layered net with ``k`` parameters: ``k - 1`` on random
+    rows of the ancestors of ``L3_0``, the hypothesis, and one on a
+    last-level table that it does not depend on, at a random place in the
+    order."""
+    rng = random.Random(seed)
+    variables, tables = layered_tables(4, 4, seed)
+    parents = {name: above for name, _, above in variables}
+    ancestors, todo = set(), list(parents["L3_0"])
+    while todo:
+        name = todo.pop()
+        if name not in ancestors:
+            ancestors.add(name)
+            todo.extend(parents[name])
+    rows = [(name, key, 0) for name in sorted(ancestors) for key in tables[name]]
+    coords = rng.sample(rows, k - 1)
+    dead = (f"L3_{rng.randint(1, 3)}", ("t", "t"), 0)
+    coords.insert(rng.randint(0, k - 1), dead)
+    names = {coord: f"x{i}" for i, coord in enumerate(coords)}
+    pbn = parametrize(net_from_tables(variables, tables), coords, names)
+    return pbn, Constraint((("L3_0", "t"),), (), "<=", Fraction(1)), names[dead], rng
+
+
+def test_result_lists_follow_the_exact_intervals_on_layered_nets_with_a_dead_axis():
+    lists = 0
+    for seed in (1, 2):
+        for k in range(3, 7):
+            pbn, constraint, dead, rng = layered_with_a_dead_axis(seed, k)
+            pmc, spec = compile_tailored(pbn, constraint)
+            live = {name for _, local in pmc.lowered.parametric for name in local}
+            assert dead not in live and len(live) >= 2, (seed, k)
+            region = random_region(rng, pbn)
+            _, result = outcome(partition, pmc, crossing_spec(pmc, spec, region), region, 1, guard=80)
+            assert_in_interval_order(result)
+            lists += sum(len(boxes) > 2 for boxes in (result.accepting, result.rejecting, result.unknown))
+    assert lists >= 8
 
 
 def test_boxes_csv_layout(toy_chain):
@@ -300,9 +360,9 @@ def widest_axis_partition(pmc, spec, region, eta, *, guard, until_accepting=Fals
 
     def result():
         return PartitionResult(
-            tuple(sorted(accepting, key=Region.sort_key)),
-            tuple(sorted(rejecting, key=Region.sort_key)),
-            tuple(sorted(unknown + list(queue), key=Region.sort_key)),
+            tuple(sorted(accepting, key=lambda box: box.intervals)),
+            tuple(sorted(rejecting, key=lambda box: box.intervals)),
+            tuple(sorted(unknown + list(queue), key=lambda box: box.intervals)),
             covered / total,
             verifications,
         )
