@@ -30,7 +30,6 @@ from .lifting import (
     BoundMDP,
     RegionVerifier,
     Verdict,
-    extremal_reach,
     relax,
     substitute,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "errors",
     "expand_region_cd",
     "expand_region_ec",
-    "extremal_reach",
     "float17",
     "grid_min_distance",
     "infer",

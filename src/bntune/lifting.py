@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import BadRegion, TooLarge, UnboundParameter
-from .pmc import PMC, LeveledSolver, ReachSpec, StateLabel, _distribution
+from .pmc import PMC, ReachSpec, _distribution
 from .poly import Region
 
 #: Decision margin around the threshold: bounds closer than this are inconclusive.
@@ -45,8 +45,6 @@ class BoundMDP:
     of the parameters local to state ``s`` (duplicates removed).
     """
 
-    states: tuple[StateLabel, ...]
-    initial: int
     actions: tuple[tuple[tuple[tuple[int, float], ...], ...], ...]
 
 
@@ -74,12 +72,7 @@ def relax(pmc: PMC) -> PMC:
     return pmc
 
 
-def substitute(
-    pmc: PMC,
-    region: Region,
-    corners: dict[tuple[int, tuple[tuple[int, int], ...]], tuple[tuple[int, float], ...]]
-    | None = None,
-) -> BoundMDP:
+def substitute(pmc: PMC, region: Region) -> BoundMDP:
     """Instantiate every endpoint combination of each state's own parameters.
 
     The region must give every parameter of the chain an interval inside the
@@ -90,14 +83,13 @@ def substitute(
     no mark.  Each weight is its exact value at the corner, rounded once, as
     the solver's rounding bound assumes.  Only the parametric states of
     :attr:`PMC.lowered` are evaluated per box; the parameter-free states
-    share its actions.  ``corners`` maps (parametric state, corner) to the
-    state's checked action there, where a corner lists the exact
-    ``(numerator, denominator)`` pair of each value, in the order of the
-    state's sorted parameter names.  The pairs are canonical, so equal
+    share its actions.  The chain keeps the checked action of each
+    (parametric state, corner) it has evaluated, where a corner lists the
+    exact ``(numerator, denominator)`` pair of each value, in the order of
+    the state's sorted parameter names.  The pairs are canonical, so equal
     values give equal keys, and nested boxes share their common corners.  A
-    corner found in it is not evaluated again, and each corner evaluated is
-    added, so sibling boxes that share most corners evaluate only the new
-    ones.  A corner that raises is not added.
+    kept corner is not evaluated again, so sibling boxes that share most
+    corners evaluate only the new ones.  A corner that raises is not kept.
     """
     params = pmc.params
     unchecked = region._within is not params
@@ -116,8 +108,7 @@ def substitute(
     if unchecked:
         object.__setattr__(region, "_within", params)
 
-    if corners is None:
-        corners = {}
+    corners = pmc._corners
     all_actions = list(pmc.lowered.actions)
     for s, local in pmc.lowered.parametric:
         state_actions: dict[tuple[tuple[int, float], ...], None] = {}
@@ -128,30 +119,7 @@ def substitute(
                 action = corners[s, corner] = _distribution(pmc.edges[s], point, {})
             state_actions[action] = None
         all_actions[s] = tuple(state_actions)
-    return BoundMDP(pmc.states, pmc.initial, tuple(all_actions))
-
-
-# -- optimal reachability in the bounding process ---------------------------
-
-
-def extremal_reach(
-    mdp: BoundMDP,
-    targets: frozenset[int] | set[int],
-    mode: str = "max",
-) -> float:
-    """Optimal probability of reaching ``targets`` from the initial state.
-
-    ``mode='max'`` over-approximates the supremum of the original chain's
-    reachability probability over the box; ``mode='min'`` under-approximates
-    the infimum.  Policy iteration with :class:`LeveledSolver` computes the
-    optimum itself, unpadded; raises :class:`NotWellFormed` for a process
-    that is not leveled.
-    """
-    if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
-    edges = [[pair for action in acts for pair in action] for acts in mdp.actions]
-    solver = LeveledSolver(mdp.states, mdp.initial, edges, targets)
-    return solver.extremal(mdp.actions, mode == "max")
+    return BoundMDP(tuple(all_actions))
 
 
 class RegionVerifier:
@@ -168,17 +136,17 @@ class RegionVerifier:
     states that no box changes, the parameter-free ones, into affine forms,
     so each bound walks only the chain's parametric skeleton.
 
-    Only what a box changes is evaluated: the verifier keeps every corner
-    action that :func:`substitute` has computed for it, keyed by state and
+    Only what a box changes is evaluated: the chain keeps every corner
+    action that :func:`substitute` has computed on it, keyed by state and
     the corner's exact ``(numerator, denominator)`` pairs, so a box
-    evaluates only the corners that no earlier box of this verifier had,
-    and looks the others up without hashing a :class:`Fraction`.  A half
-    that :func:`refine.partition` splits off a checked box is not checked
-    against the declared intervals again.  A kept action is the one that evaluating the
-    corner again would give, bit for bit.  The corners last as long as the
-    verifier: one :func:`tune.tune` run, or one :func:`refine.partition`
-    run that builds its own, whose guard bounds the boxes, and so the
-    corners, that it sees.
+    evaluates only the corners that no earlier box on this chain had, under
+    this verifier or another, and looks the others up without hashing a
+    :class:`Fraction`.  A half that :func:`refine.partition` splits off a
+    checked box is not checked against the declared intervals again.  A
+    kept action is the one that evaluating the corner again would give, bit
+    for bit.  The corners last as long as the chain, so the nested boxes of
+    one :func:`tune.tune` run share them although each
+    :func:`refine.partition` builds its own verifier.
 
     :meth:`verify` decides each side of the threshold with one greedy round
     (:meth:`LeveledSolver.greedy`) at the threshold moved by ``MARGIN``
@@ -196,7 +164,6 @@ class RegionVerifier:
         self.spec = spec
         self.pmc = relax(pmc)
         self.solver = pmc.solver(spec.targets)
-        self._corners: dict = {}
 
     def _padded(self, value: float, maximize: bool) -> float:
         """``value`` widened outwards by the solver's rounding bound."""
@@ -215,7 +182,7 @@ class RegionVerifier:
         :attr:`LeveledSolver.pad`, the bound on their rounding error derived
         there, so the returned pair still brackets the true range.
         """
-        actions = substitute(self.pmc, region, self._corners).actions
+        actions = substitute(self.pmc, region).actions
         return (
             self._padded(self.solver.extremal(actions, False), False),
             self._padded(self.solver.extremal(actions, True), True),
@@ -223,7 +190,7 @@ class RegionVerifier:
 
     def verify(self, region: Region) -> Verdict:
         """Classify the box, deciding only the sides that the verdict needs."""
-        actions = substitute(self.pmc, region, self._corners).actions
+        actions = substitute(self.pmc, region).actions
         threshold = float(self.spec.threshold)
         below, above = threshold - MARGIN, threshold + MARGIN
         if self.spec.direction == "<=":

@@ -68,8 +68,11 @@ class PMC:
     The per-chain work shared by :func:`reach_prob`, :func:`lifting.relax`,
     :func:`lifting.substitute`, :class:`lifting.RegionVerifier`,
     :func:`refine.partition` and :func:`sensitivity_function` is done on
-    first use and kept on the chain: its :attr:`lowered` form, and per
-    target set the one collapsed :class:`LeveledSolver` of :meth:`solver`.
+    first use and kept on the chain: its :attr:`lowered` form, per target
+    set the one collapsed :class:`LeveledSolver` of :meth:`solver`, and the
+    checked action of every (parametric state, corner) that
+    :func:`lifting.substitute` has evaluated.  An equal but distinct chain
+    shares none of it.
     """
 
     states: tuple[StateLabel, ...]
@@ -99,6 +102,10 @@ class PMC:
 
     @cached_property
     def _solvers(self) -> dict[frozenset[int], "LeveledSolver"]:
+        return {}
+
+    @cached_property
+    def _corners(self) -> dict[tuple[int, tuple[tuple[int, int], ...]], tuple]:
         return {}
 
     def solver(self, targets: Iterable[int]) -> "LeveledSolver":
@@ -413,7 +420,9 @@ class LeveledSolver:
     initial state, or would get more coefficients than its action has
     successors, so no form is longer than the action it replaces.  A form
     without coefficients is a constant.  Without ``actions`` every state
-    stays in the pass.  :attr:`order` keeps every state in level order
+    stays in the pass, and :meth:`extremal` walks the whole level order for
+    any actions over the chain's edges: the reference that the tests hold
+    the collapsed solver to.  :attr:`order` keeps every state in level order
     either way.  No method changes the solver after its constructor, so one
     solver serves a chain's every caller (see :meth:`PMC.solver`).
 

@@ -16,7 +16,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import refine
 from .bn import Constraint, Instantiation, ParamBN
 from .errors import CoverageUnreachable, EmptyInput, NotWellFormed, UnsupportedForCD
 from .pmc import compile_tailored, reach_prob
@@ -277,7 +276,8 @@ def tune(
     point of the declared box satisfies the constraint and the result is
     infeasible; anything short of that proof ends as unknown.  A
     partitioning that hits its box guard contributes whatever it classified
-    so far.  Raises :class:`ValueError` for an unknown ``measure``.
+    so far.  Every step partitions the run's one chain, so the nested boxes
+    share the corners that it keeps (:func:`lifting.substitute`).  Raises :class:`ValueError` for an unknown ``measure``.
     """
     d0 = d0_upper(pbn, measure)
     _, expand = _measure(measure)
@@ -287,9 +287,6 @@ def tune(
     if spec.satisfied_by(p0):
         return TuneResult(Status.SATISFIED, dict(u0), 0.0, measure, p0, None, d0, ())
 
-    # Through the module attribute, so that a substituted verifier class
-    # (the benchmark's traced one) is the one built.
-    verifier = refine.RegionVerifier(chain, spec)
     stats: list[IterationStats] = []
     for k in reversed(range(_STEPS)):
         epsilon = d0 * _GAMMA**k
@@ -306,7 +303,6 @@ def tune(
                 region,
                 hyper.eta,
                 guard=hyper.guard,
-                verifier=verifier,
                 until_accepting=True,
             )
         except CoverageUnreachable as exc:

@@ -13,7 +13,7 @@ EXPORTS = [
     "SensitivityFunction", "StateLabel", "Status", "TuneResult", "Variable",
     "Verdict", "ZERO", "as_fraction", "boxes_csv", "cd_exact", "compile_chain",
     "compile_tailored", "conditional_via_ratio", "d0_upper", "distance_cd", "distance_ec",
-    "errors", "expand_region_cd", "expand_region_ec", "extremal_reach", "float17",
+    "errors", "expand_region_cd", "expand_region_ec", "float17",
     "grid_min_distance", "infer", "instantiate", "joint_table", "minimal_instantiation",
     "net_from_tables", "oracle", "parametrize", "parse_constraint", "parse_network",
     "parse_param_spec", "partition", "reach_prob", "relax", "sensitivity_function",

@@ -25,10 +25,8 @@ from bntune.errors import BadRegion, NotWellFormed, TooLarge, UnboundParameter
 from bntune import lifting
 from bntune.lifting import (
     MARGIN,
-    BoundMDP,
     RegionVerifier,
     Verdict,
-    extremal_reach,
     relax,
     substitute,
 )
@@ -287,19 +285,27 @@ def test_substitute_guards_state_local_parameter_blowup():
         relax(pmc)
 
 
-def test_extremal_reach_on_the_toy_chain(toy_pbn):
-    pmc, yes = toy_chain(toy_pbn)
-    mdp = substitute(relax(pmc), toy_box("1/5", "3/5"))
-    assert extremal_reach(mdp, {yes}, "max") == pytest.approx(0.6, abs=1e-9)
-    assert extremal_reach(mdp, {yes}, "min") == pytest.approx(0.2, abs=1e-9)
+def whole_pass(pmc: PMC, targets) -> LeveledSolver:
+    """The uncollapsed solver: every state of the chain stays in the pass."""
+    return LeveledSolver(pmc.states, pmc.initial, pmc.edges, targets)
 
 
-def test_extremal_reach_initial_target_and_validation(toy_pbn):
+def test_uncollapsed_solver_extremal_on_the_toy_chain(toy_pbn):
     pmc, yes = toy_chain(toy_pbn)
-    mdp = substitute(relax(pmc), toy_box("1/5", "3/5"))
-    assert extremal_reach(mdp, {pmc.initial}, "min") == 1.0
-    with pytest.raises(ValueError):
-        extremal_reach(mdp, {yes}, "median")
+    actions = substitute(relax(pmc), toy_box("1/5", "3/5")).actions
+    solver = whole_pass(pmc, {yes})
+    assert solver.extremal(actions, True) == pytest.approx(0.6, abs=1e-9)
+    assert solver.extremal(actions, False) == pytest.approx(0.2, abs=1e-9)
+
+
+def test_initial_target_has_value_one(toy_pbn):
+    pmc, _ = toy_chain(toy_pbn)
+    box = toy_box("1/5", "3/5")
+    actions = substitute(relax(pmc), box).actions
+    assert whole_pass(pmc, {pmc.initial}).extremal(actions, False) == 1.0
+    spec = ReachSpec(frozenset({pmc.initial}), ">=", Fraction(1, 2))
+    lo, hi = RegionVerifier(pmc, spec).bounds(box)
+    assert 1 - 1e-12 <= lo <= hi == 1.0
 
 
 def test_non_leveled_chain_is_rejected():
@@ -312,9 +318,8 @@ def test_non_leveled_chain_is_rejected():
     pmc = PMC(states, 0, edges, ())
     with pytest.raises(NotWellFormed):
         reach_prob(pmc, {}, {3})
-    mdp = substitute(relax(pmc), Region((), ()))
     with pytest.raises(NotWellFormed):
-        extremal_reach(mdp, {3}, "max")
+        RegionVerifier(pmc, ReachSpec(frozenset({3}), "<=", Fraction(1, 2)))
     with pytest.raises(NotWellFormed):
         sensitivity_function(pmc, {3})
 
@@ -333,9 +338,10 @@ def test_corner_that_always_restarts_has_value_zero():
     # every other x reaches the target with probability 1/2.
     pmc = restart_corner_chain()
     box = toy_box("1/4", "1/2")
-    mdp = substitute(relax(pmc), box)
-    assert extremal_reach(mdp, {1}, "min") == 0.0
-    assert extremal_reach(mdp, {1}, "max") == 0.5
+    actions = substitute(relax(pmc), box).actions
+    solver = whole_pass(pmc, {1})
+    assert solver.extremal(actions, False) == 0.0
+    assert solver.extremal(actions, True) == 0.5
     lo, hi = RegionVerifier(pmc, ReachSpec(frozenset({1}), "<=", Fraction(1))).bounds(box)
     assert lo == 0.0 and 0.5 <= hi <= 0.5 + 1e-12
 
@@ -395,7 +401,7 @@ def random_box(rng: random.Random, pbn) -> Region:
 
 def reference_bounds(pmc: PMC, targets, region: Region) -> tuple[float, float, float]:
     """Bounds from scratch, and their pad: every weight at every corner in
-    Fractions, then float(), solved by the whole level-ordered pass."""
+    Fractions, then float(), solved by the uncollapsed solver."""
     actions = []
     for out in pmc.edges:
         local = sorted({name for _, w in out for name in w.parameters})
@@ -405,10 +411,10 @@ def reference_bounds(pmc: PMC, targets, region: Region) -> tuple[float, float, f
             point = dict(zip(local, corner))
             distributions[tuple((t, float(w.evaluate(point))) for t, w in out)] = None
         actions.append(tuple(distributions))
-    mdp = BoundMDP(pmc.states, pmc.initial, tuple(actions))
-    pad = LeveledSolver(pmc.states, pmc.initial, pmc.edges, targets).pad
-    lo = max(extremal_reach(mdp, targets, "min") * (1 - pad), 0.0)
-    hi = min(extremal_reach(mdp, targets, "max") * (1 + pad), 1.0)
+    solver = whole_pass(pmc, targets)
+    pad = solver.pad
+    lo = max(solver.extremal(actions, False) * (1 - pad), 0.0)
+    hi = min(solver.extremal(actions, True) * (1 + pad), 1.0)
     return lo, hi, pad
 
 
@@ -493,8 +499,8 @@ def test_long_lived_verifier_matches_a_from_scratch_reference(build):
 
 def test_collapsed_verifier_brackets_exact_extrema_on_random_nets():
     # The verifier's collapsed pass against two references that share none
-    # of its work: the exact corner extrema, and extremal_reach on the
-    # uncollapsed corner MDP, whose padded optima must give the same verdict.
+    # of its work: the exact corner extrema, and the uncollapsed solver on
+    # the corner MDP, whose padded optima must give the same verdict.
     for seed in range(60):
         rng = random.Random(seed)
         net = random_net(rng)
@@ -580,35 +586,34 @@ def test_one_greedy_round_per_side_gives_the_verdict_of_the_padded_bounds(monkey
 def test_kept_corners_give_the_actions_of_a_fresh_substitution(
     monkeypatch, covid_pbn, covid_constraint
 ):
-    # Every box of a partition gets, from the verifier's kept corners, the
-    # process that substituting it from scratch gives.
+    # Every box of a partition gets, from the chain's kept corners, the
+    # process that substituting it on a fresh copy of the chain gives.
     constraint = Constraint(
         covid_constraint.hypothesis, covid_constraint.evidence, ">=", Fraction(2, 100)
     )
     pmc, spec = compile_tailored(covid_pbn, constraint)
     original = lifting.substitute
-    kept = []
+    boxes = 0
 
-    def comparing(pmc, region, corners=None):
-        mdp = original(pmc, region, corners)
-        assert mdp == original(pmc, region)
-        kept.append(corners)
+    def comparing(chain, region):
+        nonlocal boxes
+        boxes += 1
+        mdp = original(chain, region)
+        fresh = PMC(chain.states, chain.initial, chain.edges, chain.params)
+        assert mdp == original(fresh, region)
         return mdp
 
     monkeypatch.setattr(lifting, "substitute", comparing)
     result = partition(pmc, spec, covid_pbn.space(), Fraction(95, 100))
-    assert result.verifications == len(kept) > 100
-    # One verifier, so one dict for every box; two parametric states of two
-    # corners each per box, but most corners repeat.
-    corners = kept[0]
-    assert all(c is corners for c in kept)
+    assert result.verifications == boxes > 100
+    # Two parametric states of two corners each per box, but most corners repeat.
     assert len(pmc.lowered.parametric) == 2
-    assert 0 < len(corners) < len(kept)
+    assert 0 < len(pmc._corners) < boxes
 
 
 def test_covid_tune_requests_evaluate_each_corner_once_without_fraction_keys(monkeypatch):
     # Over the bench's four covid tune requests, each distinct (state,
-    # corner) of a verifier is evaluated once, 108 in all; substituting a
+    # corner) of a chain is evaluated once, 108 in all; substituting a
     # split box neither hashes nor compares a Fraction.
     evaluated = []
     halves: dict[int, Region] = {}  # by id; holding them keeps the ids unique
@@ -644,12 +649,12 @@ def test_covid_tune_requests_evaluate_each_corner_once_without_fraction_keys(mon
 
     original_substitute = lifting.substitute
 
-    def watching(pmc, region, corners=None):
+    def watching(pmc, region):
         is_half = id(region) in halves
         watch["split calls"] += is_half
         watch["split box"] = is_half
         try:
-            return original_substitute(pmc, region, corners)
+            return original_substitute(pmc, region)
         finally:
             watch["split box"] = False
 
@@ -666,16 +671,46 @@ def test_covid_tune_requests_evaluate_each_corner_once_without_fraction_keys(mon
 
 def test_a_corner_that_raises_is_not_kept():
     # 2x leaves [0, 1] at x = 3/5: each box with that corner raises, also
-    # after a box of the same verifier raised there.
+    # after a box on the same chain raised there, under any verifier.
     states = (StateLabel(0, ()), StateLabel(1, (("V", "a"),)), StateLabel(1, (("V", "b"),)))
     edges = (((1, C(2) * X), (2, ONE - C(2) * X)), ((1, ONE),), ((2, ONE),))
     pmc = PMC(states, 0, edges, (("x", (Fraction(4, 10), Fraction(6, 10))),))
-    verifier = RegionVerifier(pmc, ReachSpec(frozenset({1}), "<=", Fraction(1, 2)))
+    spec = ReachSpec(frozenset({1}), "<=", Fraction(1, 2))
+    verifier = RegionVerifier(pmc, spec)
     with pytest.raises(NotWellFormed):
         verifier.verify(toy_box("2/5", "3/5"))
     assert verifier.verify(toy_box("2/5", "1/2")) is Verdict.REJECTING
     with pytest.raises(NotWellFormed):
         verifier.verify(toy_box("1/2", "3/5"))
+    assert set(pmc._corners) == {(0, ((2, 5),)), (0, ((1, 2),))}
+    with pytest.raises(NotWellFormed):
+        RegionVerifier(pmc, spec).verify(toy_box("1/2", "3/5"))
+
+
+def test_the_chain_keeps_its_corners_for_every_verifier(
+    monkeypatch, covid_pbn, covid_constraint
+):
+    # A second verifier on the same chain finds every corner of a box that
+    # the first verified; an equal but distinct chain keeps none of them.
+    pmc, spec = compile_tailored(covid_pbn, covid_constraint)
+    box = Region.from_bounds({"p": (Fraction(1, 10), Fraction(3, 10)),
+                              "q": (Fraction(1, 5), Fraction(2, 5))})
+    verdict = RegionVerifier(pmc, spec).verify(box)
+    assert len(pmc._corners) == 4  # two parametric states, two corners each
+    evaluated = []
+    original_distribution = lifting._distribution
+
+    def counting_distribution(out, point, memo):
+        evaluated.append(point)
+        return original_distribution(out, point, memo)
+
+    monkeypatch.setattr(lifting, "_distribution", counting_distribution)
+    assert RegionVerifier(pmc, spec).verify(box) is verdict
+    assert evaluated == []
+    twin = PMC(pmc.states, pmc.initial, pmc.edges, pmc.params)
+    assert twin == pmc and twin._corners == {}
+    assert RegionVerifier(twin, spec).verify(box) is verdict
+    assert len(evaluated) == 4 and twin._corners == pmc._corners
 
 
 # -- the work of one round -------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bntune import refine
+from bntune import lifting, refine
 from bntune.bn import Constraint, parametrize
 from bntune.errors import EmptyInput, UnsupportedForCD
 from bntune.formats import parse_param_spec
@@ -26,7 +26,7 @@ from bntune.tune import (
     tune,
 )
 
-from conftest import covid_posterior
+from conftest import covid_posterior, covid_tune_requests
 
 
 def holds(region: Region, u) -> bool:
@@ -560,16 +560,33 @@ def test_tune_iteration_stats_shape(covid_pbn, covid_constraint):
     assert holds(last.region, covid_pbn.origin_instantiation())
 
 
-def test_tune_builds_one_verifier_per_run(covid_pbn, covid_constraint, monkeypatch):
-    built = []
+def test_tune_verifiers_share_the_corners_of_one_chain(monkeypatch):
+    # Each partitioning of a run builds its own verifier, all on the run's
+    # one chain, which evaluates each (state, corner) once for all of them.
+    chains = []
+    evaluated = 0
 
-    class CountingVerifier(refine.RegionVerifier):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    class RecordingVerifier(refine.RegionVerifier):
+        def __init__(self, pmc, spec):
+            chains.append(pmc)
+            super().__init__(pmc, spec)
 
-    monkeypatch.setattr(refine, "RegionVerifier", CountingVerifier)
-    result = tune(covid_pbn, covid_constraint)
-    assert len(result.iterations) == 4
-    assert sum(it.verifications for it in result.iterations) > len(result.iterations)
-    assert len(built) == 1
+    original_distribution = lifting._distribution
+
+    def counting_distribution(out, point, memo):
+        nonlocal evaluated
+        evaluated += 1
+        return original_distribution(out, point, memo)
+
+    monkeypatch.setattr(refine, "RegionVerifier", RecordingVerifier)
+    monkeypatch.setattr(lifting, "_distribution", counting_distribution)
+    total = 0
+    for pbn, constraint, measure, hyper in covid_tune_requests():
+        chains.clear()
+        evaluated = 0
+        result = tune(pbn, constraint, measure, hyper)
+        assert len(chains) == len(result.iterations) > 0
+        (chain,) = {id(c): c for c in chains}.values()
+        assert evaluated == len(chain._corners)
+        total += evaluated
+    assert total == 108
