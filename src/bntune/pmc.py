@@ -92,10 +92,12 @@ class PMC:
         actions: list[tuple | None] = []
         parametric = []
         for s, out in enumerate(self.edges):
-            local = sorted({p for _, w in out for p in w.parameters})
-            if local:
-                parametric.append((s, tuple(local)))
-                actions.append(None)
+            for _, w in out:
+                if w.parameters:  # the first parametric weight: name them all
+                    local = sorted({p for _, w in out for p in w.parameters})
+                    parametric.append((s, tuple(local)))
+                    actions.append(None)
+                    break
             else:
                 actions.append((_distribution(out, {}, memo),))
         return Lowering(tuple(actions), tuple(parametric))
@@ -419,12 +421,14 @@ class LeveledSolver:
     the pass.  A state stays in the pass when it is parametric, is the
     initial state, or would get more coefficients than its action has
     successors, so no form is longer than the action it replaces.  A form
-    without coefficients is a constant.  Without ``actions`` every state
-    stays in the pass, and :meth:`extremal` walks the whole level order for
-    any actions over the chain's edges: the reference that the tests hold
-    the collapsed solver to.  :attr:`order` keeps every state in level order
-    either way.  No method changes the solver after its constructor, so one
-    solver serves a chain's every caller (see :meth:`PMC.solver`).
+    without coefficients is a constant.  A state whose successors are all
+    constants (targets, leaves, restarts and such forms) gets one without a
+    coefficient sum.  Without ``actions`` every state stays in the pass, and
+    :meth:`extremal` walks the whole level order for any actions over the
+    chain's edges: the reference that the tests hold the collapsed solver
+    to.  :attr:`order` keeps every state in level order either way.  No
+    method changes the solver after its constructor, so one solver serves a
+    chain's every caller (see :meth:`PMC.solver`).
 
     Rounding.  Let u = 2**-53, gamma_n = n*u/(1 - n*u), d the number of
     levels and k the largest out-degree.  Each weight is the exact value at
@@ -471,16 +475,15 @@ class LeveledSolver:
         self._base_t = base_t = [0.0] * len(states)
         self._base_e = base_e = [0.0] * len(states)
         order: list[int] = []
-        degree = 0
         for s, out in enumerate(edges):
-            degree = max(degree, len(out))
             if s in targets:
                 base_t[s] = base_e[s] = 1.0
-            elif s != initial and all(t == s for t, _ in out):
+            elif s != initial and (not out or (len(out) == 1 and out[0][0] == s)):
                 base_e[s] = 1.0  # a leaf: the mass ends here
             else:
+                below = levels[s] + 1
                 for t, _ in out:
-                    if t != initial and levels[t] != levels[s] + 1:
+                    if t != initial and levels[t] != below:
                         raise NotWellFormed(
                             f"edge s{s} -> s{t} goes from level {levels[s]} to level "
                             f"{levels[t]}; leveled chains only step one level down or restart"
@@ -494,41 +497,45 @@ class LeveledSolver:
             order.append(initial)
         #: Every state that a pass without forms visits, deepest level first.
         self.order = tuple(order)
-        m = 4 * len(set(levels)) * (degree + 1) + 1
+        m = 4 * len(set(levels)) * (max(map(len, edges), default=0) + 1) + 1
         #: Relative pad that makes a computed value a sound bound (see above).
         self.pad = 2 * m * 2.0**-53 / (1 - m * 2.0**-53)
         self._forms: dict[int, tuple[tuple[int, float], ...]] = {}
         self._pass = order
         if actions is None:
             return
-        # Targets and leaves are constants; a restart reads zero.
-        forms = dict.fromkeys(set(range(len(states))).difference(order), ())
-        forms[initial] = ()
-        kept = []
+        # A successor in neither `in_pass` nor `forms` is a constant; the
+        # initial state joins the pass last, so a restart reads zero.
+        forms: dict[int, tuple[tuple[int, float], ...]] = {}
+        in_pass: set[int] = set()
         for s in order:  # successors come first, being one level deeper
             if s == initial or actions[s] is None:
-                kept.append(s)
+                in_pass.add(s)
                 continue
             (action,) = actions[s]
             t = e = 0.0
-            coefficients: dict[int, float] = {}
+            linear = False
             for succ, p in action:
-                form = forms.get(succ)
-                if form is None:  # a state of the pass
-                    form = ((succ, 1.0),)
+                if succ in in_pass:
+                    linear = True
                 else:
                     t += p * base_t[succ]
                     e += p * base_e[succ]
-                for j, c in form:
-                    coefficients[j] = coefficients[j] + p * c if j in coefficients else p * c
-            if len(coefficients) > len(action):
-                kept.append(s)
-            else:
+                    linear = linear or succ in forms
+            if linear:
+                coefficients: dict[int, float] = {}
+                for succ, p in action:
+                    form = ((succ, 1.0),) if succ in in_pass else forms.get(succ, ())
+                    for j, c in form:
+                        coefficients[j] = coefficients[j] + p * c if j in coefficients else p * c
+                if len(coefficients) > len(action):
+                    in_pass.add(s)
+                    continue
                 forms[s] = tuple(coefficients.items())
-                base_t[s], base_e[s] = t, e
-        read = {succ for s in kept for succ, _ in edges[s]}
-        self._forms = {s: forms[s] for s in read if forms.get(s)}
-        keep = set(kept).union(self._forms)
+            base_t[s], base_e[s] = t, e
+        read = {succ for s in in_pass for succ, _ in edges[s]}
+        self._forms = {s: forms[s] for s in read if s in forms}
+        keep = in_pass.union(self._forms)
         self._pass = [s for s in order if s in keep]
 
     def _round(self, actions, x: float, maximize: bool) -> tuple[float, float]:

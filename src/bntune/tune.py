@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .bn import Constraint, Instantiation, ParamBN
 from .errors import CoverageUnreachable, EmptyInput, NotWellFormed, UnsupportedForCD
@@ -94,8 +94,13 @@ class TuneResult:
 
 def distance_ec(pbn: ParamBN, u: Instantiation) -> float:
     """Euclidean distance between ``u`` and the original parameter values."""
+    return _distance_ec(pbn)(u)
+
+
+def _distance_ec(pbn: ParamBN) -> Callable[[Instantiation], float]:
     u0 = pbn.origin_instantiation()
-    return math.sqrt(sum((float(u[x]) - float(u0[x])) ** 2 for x in pbn.parameter_names))
+    origin = [(x, float(u0[x])) for x in pbn.parameter_names]
+    return lambda u: math.sqrt(sum((float(u[x]) - v) ** 2 for x, v in origin))
 
 
 def _single_tuned_cpt(pbn: ParamBN):
@@ -116,23 +121,31 @@ def distance_cd(pbn: ParamBN, u: Instantiation) -> float:
     doubly-zero entry contributes 1); a single zero-crossing entry makes the
     distance infinite.
     """
+    return _distance_cd(pbn)(u)
+
+
+def _distance_cd(pbn: ParamBN) -> Callable[[Instantiation], float]:
+    """:func:`distance_cd` of any point; the original entries are evaluated once."""
     cpt = _single_tuned_cpt(pbn)
     if cpt is None:
-        return 0.0
+        return lambda u: 0.0
     u0 = pbn.origin_instantiation()
-    hi, lo = Fraction(1), Fraction(1)
-    for _, row in cpt.rows:
-        for entry in row:
-            old = entry.evaluate(u0)
+    entries = [(entry, entry.evaluate(u0)) for _, row in cpt.rows for entry in row]
+
+    def distance(u: Instantiation) -> float:
+        hi, lo = Fraction(1), Fraction(1)
+        for entry, old in entries:
             new = entry.evaluate(u)
             if old == 0 and new == 0:
                 continue
             if old == 0 or new == 0:
                 return math.inf
-            ratio = Fraction(new) / Fraction(old) if not isinstance(new, float) else new / float(old)
+            ratio = new / float(old) if isinstance(new, float) else Fraction(new) / Fraction(old)
             hi = max(hi, ratio)
             lo = min(lo, ratio)
-    return float(math.log(hi) - math.log(lo))
+        return float(math.log(hi) - math.log(lo))
+
+    return distance
 
 
 def d0_upper(pbn: ParamBN, measure: str = "ec") -> float:
@@ -207,8 +220,9 @@ def expand_region_cd(pbn: ParamBN, u0: Mapping[str, Fraction], epsilon: float) -
     return _met(pbn, intervals)
 
 
-#: Per distance measure: the distance itself and the candidate box of a radius.
-_MEASURES = {"ec": (distance_ec, expand_region_ec), "cd": (distance_cd, expand_region_cd)}
+#: Per distance measure: the distance from a network's original values, as a
+#: function of the point, and the candidate box of a radius.
+_MEASURES = {"ec": (_distance_ec, expand_region_ec), "cd": (_distance_cd, expand_region_cd)}
 
 
 def _measure(measure: str):
@@ -229,18 +243,17 @@ def minimal_instantiation(
     so per box the closest point clamps the original values into the box;
     ties between boxes keep the earliest box.
     """
-    distance_fn, _ = _measure(measure)
+    distance_from, _ = _measure(measure)
     if not boxes:
         raise EmptyInput("no boxes to pick an instantiation from")
-    u0 = pbn.origin_instantiation()
+    centers = {name: Fraction(v) for name, v in pbn.origin_instantiation().items()}
+    distance = distance_from(pbn)
     best_point: dict[str, Fraction] | None = None
     best = math.inf
     for box in boxes:
-        point = {}
-        for name, (lb, ub) in zip(box.params, box.intervals):
-            center = Fraction(u0[name])
-            point[name] = min(max(center, lb), ub)
-        d = distance_fn(pbn, point)
+        bounds = zip(box.params, box.intervals)
+        point = {name: min(max(centers[name], lb), ub) for name, (lb, ub) in bounds}
+        d = distance(point)
         if d < best:
             best_point, best = point, d
     assert best_point is not None

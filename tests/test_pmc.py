@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from bntune import (
     Constraint,
     ParamBN,
     Polynomial,
+    Region,
     Variable,
     compile_chain,
     compile_tailored,
@@ -25,11 +27,14 @@ from bntune import (
     to_dot,
 )
 from bntune.errors import BadOrder, EvidenceImpossible, NotWellFormed, TooLarge
+from bntune.lifting import substitute
 from bntune.oracle import infer, joint_table
+from bntune.pmc import PMC, LeveledSolver, StateLabel
 from conftest import (
     build_covid_pbn,
     covid_posterior,
     edge_map,
+    layered_tables,
     random_constraint,
     random_net,
     random_parametrization,
@@ -375,3 +380,67 @@ def test_to_dot_renders_the_graph(tailored):
     assert "COVID-19=yes, Symptoms=yes" in dot
     assert 'style=bold' in dot
     assert '[label="p"]' in dot
+
+
+# -- the chain's first use: lowering and collapse -----------------------------
+
+
+@pytest.mark.parametrize(
+    "size, evidence, states, passed, digest",
+    [
+        (6, (), 317, 5, "b3ee07a52c6c60f39261c272e089c7ce6b471f40a0da823538f06ef0469dcb8d"),
+        (6, (("L5_1", "f"), ("L4_2", "t")), 1141, 535,
+         "cdf17ed012a1f29ef01af098ee14324697ea0fd57c1b10e08a86cc0f9db9d786"),
+        (5, (("L4_1", "f"),), 421, 55,
+         "8d08a3cbbaa0ed53a4f459cee94498c160ba95d1345ee7699b7e6fdfaa9c307f"),
+    ],
+)
+def test_lowering_and_collapse_keep_their_floats(size, evidence, states, passed, digest):
+    # The digests pin every float, order and form of the lowering and the
+    # collapsed solver on the bench's seeded layered nets; they were recorded
+    # before the two passes were rewritten to skip work on constant states.
+    variables, tables = layered_tables(size, size, 1)
+    coords = (("L0_0", (), 0), (f"L{size // 2}_0", ("t", "t"), 0))
+    pbn = parametrize(net_from_tables(variables, tables), coords, {coords[0]: "x", coords[1]: "y"})
+    probe = Constraint(((f"L{size - 1}_0", "t"),), evidence, "<=", Fraction(1))
+    pmc, spec = compile_tailored(pbn, probe)
+    s = pmc.solver(spec.targets)
+    assert (pmc.n_states, len(s._pass)) == (states, passed)
+    pinned = repr((pmc.lowered, s.order, s.pad, s._base_t, s._base_e, s._forms, s._pass))
+    assert hashlib.sha256(pinned.encode()).hexdigest() == digest
+
+
+def test_a_state_without_edges_and_a_self_loop_are_both_leaves():
+    # s3 loops on itself and s4 has no out-edge: both end the mass (E = 1)
+    # without reaching the target s5, in the collapsed solver as in the
+    # uncollapsed one.  s1 is parameter-free and collapses to a constant;
+    # s2 carries x and stays in the pass.
+    x = Polynomial.parameter("x")
+    quarter = Polynomial.constant(Fraction(1, 4))
+    states = (
+        StateLabel(0, ()),
+        *(StateLabel(1, (("A", v),)) for v in "ab"),
+        *(StateLabel(2, (("B", v),)) for v in "abc"),
+    )
+    edges = (
+        ((1, quarter), (2, ONE - quarter)),
+        ((3, quarter), (5, ONE - quarter)),
+        ((4, x), (5, ONE - x)),
+        ((3, ONE),),
+        (),
+        ((5, ONE),),
+    )
+    pmc = PMC(states, 0, edges, (("x", (Fraction(1, 4), Fraction(1, 2))),))
+    leaves = {s for s, out in enumerate(edges) if s not in (0, 5) and all(t == s for t, _ in out)}
+    assert leaves == {3, 4}
+    whole = LeveledSolver(states, 0, edges, {5})
+    collapsed = pmc.solver({5})
+    for solver in (whole, collapsed):
+        assert set(range(6)).difference(solver.order) == leaves | {5}
+        assert [solver._base_e[s] for s in (3, 4, 5)] == [1.0, 1.0, 1.0]
+        assert [solver._base_t[s] for s in (3, 4, 5)] == [0.0, 0.0, 1.0]
+    assert collapsed._pass == [2, 0] and collapsed._forms == {}
+    actions = substitute(pmc, Region.from_bounds({"x": (Fraction(1, 4), Fraction(1, 2))})).actions
+    for maximize, value in ((True, 0.75), (False, 0.5625)):
+        assert collapsed.extremal(actions, maximize) == whole.extremal(actions, maximize) == value
+    assert reach_prob(pmc, {"x": Fraction(1, 2)}, {5}) == 0.5625
