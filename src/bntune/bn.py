@@ -11,6 +11,7 @@ probability distribution for all parameter values in (0, 1).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,39 +130,71 @@ def _check_tables(variables: tuple[Variable, ...], cpts: tuple[CPT, ...]) -> Non
 def _check_row(owner: str, key: tuple[str, ...], row: tuple[Polynomial, ...]) -> None:
     """The row rule: multi-affine entries, constants in [0, 1], and a unit sum.
 
-    A row that holds a parameter must sum to one symbolically; a constant row
-    may miss one by ``ROW_SUM_TOLERANCE``.  Raises :class:`NotWellFormed` (or
-    :class:`UnsupportedDegree`).
+    A row of constants is checked in integers, on each entry's exact
+    ``(numerator, denominator)`` pair n/d: the entry lies in [0, 1] when
+    0 <= n <= d, and the row's sum N/D, kept over one common denominator, may
+    miss one by ``ROW_SUM_TOLERANCE`` a/b, that is |N - D|*b <= a*D (the
+    reported N/D is int/int division, which rounds as ``float`` of the exact
+    sum does).  A row that holds a parameter must sum to one symbolically.
+    Raises :class:`NotWellFormed` (or :class:`UnsupportedDegree`).
     """
+    pairs = []
+    for entry in row:
+        terms = entry.terms
+        if not terms:
+            pairs.append((entry, 0, 1))
+        elif len(terms) == 1 and not terms[0][0]:
+            value = terms[0][1]
+            pairs.append((entry, value.numerator, value.denominator))
+        else:
+            break
+    else:
+        num, den = 0, 1
+        for entry, n, d in pairs:
+            if not 0 <= n <= d:
+                raise NotWellFormed(f"entry {entry} in table of {owner} is outside [0, 1]")
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        tolerance = ROW_SUM_TOLERANCE
+        if abs(num - den) * tolerance.denominator > tolerance.numerator * den:
+            raise NotWellFormed(f"row {key} of {owner} sums to {num / den}, not 1")
+        return
     for entry in row:
         if not entry.is_multiaffine:
             raise UnsupportedDegree(f"entry in table of {owner} is not multi-affine")
         if not entry.parameters and not (0 <= entry.constant_value() <= 1):
             raise NotWellFormed(f"entry {entry} in table of {owner} is outside [0, 1]")
-    if any(entry.parameters for entry in row):
-        total = sum(row[1:], row[0])
-        if not (total.is_constant and total.constant_value() == 1):
-            raise NotWellFormed(f"parametric row {key} of {owner} does not sum to 1 symbolically")
-    else:
-        total = sum(entry.constant_value() for entry in row)
-        if abs(total - 1) > ROW_SUM_TOLERANCE:
-            raise NotWellFormed(f"row {key} of {owner} sums to {float(total)}, not 1")
+    total = sum(row[1:], row[0])
+    if not (total.is_constant and total.constant_value() == 1):
+        raise NotWellFormed(f"parametric row {key} of {owner} does not sum to 1 symbolically")
 
 
 def _toposort(variables: tuple[Variable, ...]) -> tuple[str, ...]:
-    """Topological order that follows declaration order among ready variables."""
-    remaining = {v.name: set(v.parents) for v in variables}
+    """Topological order that follows declaration order among ready variables.
+
+    Kahn's algorithm over a heap of declaration indices: the earliest-declared
+    variable whose parents are all placed goes next.  A variable on a cycle,
+    or below one, is never placed, and that raises :class:`NotWellFormed`.
+    """
+    index = {v.name: i for i, v in enumerate(variables)}
+    waiting = [len(v.parents) for v in variables]
+    children: list[list[int]] = [[] for _ in variables]
+    for i, v in enumerate(variables):
+        for parent in v.parents:  # all declared: _check_tables checks that first
+            children[index[parent]].append(i)
+    ready = [i for i, n in enumerate(waiting) if not n]  # ascending, so a heap
     order: list[str] = []
-    names = [v.name for v in variables]
-    while remaining:
-        ready = [n for n in names if n in remaining and not remaining[n]]
-        if not ready:
-            raise NotWellFormed("the parent graph has a cycle")
-        chosen = ready[0]
-        order.append(chosen)
-        del remaining[chosen]
-        for deps in remaining.values():
-            deps.discard(chosen)
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(variables[i].name)
+        for child in children[i]:
+            waiting[child] -= 1
+            if not waiting[child]:
+                heapq.heappush(ready, child)
+    if len(order) != len(variables):
+        raise NotWellFormed("the parent graph has a cycle")
     return tuple(order)
 
 

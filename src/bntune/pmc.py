@@ -223,7 +223,8 @@ class _Builder:
     A tailored build expands only the ancestral set of the hypothesis and
     evidence variables.  :func:`_narrow_order` follows a given order, or picks
     one, and yields each level's carried set: the variables whose values the
-    level's states label.
+    level's states label.  :meth:`build` interns each level's states by plain
+    tuple keys.
     """
 
     def __init__(self, net: ParamBN, order, constraint: Constraint | None):
@@ -243,82 +244,86 @@ class _Builder:
                     stack.extend(self.variable_map[name].parents)
         self.order, self.carried = _narrow_order(net, expanded, order)
         self.point = None if net.origin is None else dict(net.origin)
-        self.states: list[StateLabel] = []
-        self.index: dict[StateLabel, int] = {}
-        self.edges: list[dict[int, Polynomial]] = []
-
-    def intern(self, label: StateLabel) -> int:
-        if label not in self.index:
-            self.index[label] = len(self.states)
-            self.states.append(label)
-            self.edges.append({})
-        return self.index[label]
-
-    def add_edge(self, source: int, target: int, weight: Polynomial) -> None:
-        """Keep the entry itself on a new edge, so edges share entry objects;
-        only edges that merge are summed."""
-        out = self.edges[source]
-        merged = out.get(target)
-        out[target] = weight if merged is None else merged + weight
 
     def build(self) -> tuple[PMC, list[int]]:
         """The chain and its leaves, the states of the last level.
+
+        A state of a level is named by a plain tuple key: the values of the
+        level's carried set, in its order, then the hypothesis flag.  A
+        source's row and its targets' keys are read off the source's key at
+        positions computed once per level, and a :class:`StateLabel` is built
+        only for a new state.  The next level is numbered in the order its
+        states are first reached, and each state's edges are sorted by target.
 
         A tailored build raises :class:`EvidenceImpossible` when no leaf is
         reachable along edges that are positive at the recorded original
         values (any built edge, when there are none): every path restarts.
         """
         tailored = self.constraint is not None
-        initial = self.intern(StateLabel(0, (), True if tailored else None))
-        frontier = [initial]
+        initial, hypothesis = 0, True if tailored else None
+        states = [StateLabel(0, (), hypothesis)]
+        edges: list[list[tuple[int, Polynomial]]] = [[]]
+        frontier = [(initial, (hypothesis,))]
         # Forward edges never merge, as the just-expanded variable stays in
-        # the label, so each entry is tested on its own.  The test is
-        # memoized by id: hashing a Polynomial costs more than it saves.
+        # the key, so each keeps its table entry itself (edges share entry
+        # objects) and each entry is tested on its own.  The test is memoized
+        # by id: hashing a Polynomial costs more than it saves.  Only the
+        # restart edges of one source are summed.
         reached = {initial}
         positive: dict[int, bool] = {}
+        previous: tuple[str, ...] = ()
         for level, (var_name, keep) in enumerate(zip(self.order, self.carried)):
             variable = self.variable_map[var_name]
             table = self.cpt_map[var_name]
             ev_value = self.evidence.get(var_name)
             hyp_value = self.hypothesis.get(var_name)
-            next_frontier: list[int] = []
-            seen: set[int] = set()
-            for source in frontier:
-                label = self.states[source]
-                values = dict(label.assignment)
-                row = table.row(tuple(values[p] for p in variable.parents))
+            at = {name: i for i, name in enumerate(previous)}
+            parents = [at[p] for p in variable.parents]
+            kept = [at[w] for w in keep[:-1]]
+            ids: dict[tuple, int] = {}
+            next_frontier: list[tuple[int, tuple]] = []
+            for source, key in frontier:
+                row = table.row(tuple(key[i] for i in parents))
+                values = tuple(key[i] for i in kept)
+                hyp = key[-1]
                 live = tailored and source in reached
-                for value_label, entry in zip(variable.values, row):
+                out = edges[source]
+                restart = None
+                for value, entry in zip(variable.values, row):
                     if entry.is_zero():
                         continue
-                    if ev_value is not None and value_label != ev_value:
-                        self.add_edge(source, initial, entry)
+                    if ev_value is not None and value != ev_value:
+                        restart = entry if restart is None else restart + entry
                         continue
-                    hyp = label.hypothesis
-                    if hyp is not None and hyp_value is not None:
-                        hyp = hyp and (value_label == hyp_value)
-                    values[var_name] = value_label
-                    assignment = tuple((w, values[w]) for w in keep)
-                    target = self.intern(StateLabel(level + 1, assignment, hyp))
-                    self.add_edge(source, target, entry)
-                    if target not in seen:
-                        seen.add(target)
-                        next_frontier.append(target)
+                    holds = hyp if hyp_value is None else hyp and value == hyp_value
+                    target_key = (*values, value, holds)
+                    target = ids.get(target_key)
+                    if target is None:
+                        target = ids[target_key] = len(states)
+                        states.append(StateLabel(level + 1, tuple(zip(keep, target_key)), holds))
+                        edges.append([])
+                        next_frontier.append((target, target_key))
+                    out.append((target, entry))
                     if live and target not in reached:
-                        key = id(entry)
-                        if key not in positive:
-                            positive[key] = (
+                        entry_id = id(entry)
+                        if entry_id not in positive:
+                            positive[entry_id] = (
                                 self.point is None or entry.evaluate_rounded(self.point) > 0.0
                             )
-                        if positive[key]:
+                        if positive[entry_id]:
                             reached.add(target)
+                if restart is not None:
+                    out.append((initial, restart))
             frontier = next_frontier
-        if tailored and reached.isdisjoint(frontier):
+            previous = keep
+        leaves = [s for s, _ in frontier]
+        if tailored and reached.isdisjoint(leaves):
             raise EvidenceImpossible("the evidence has probability zero; every path restarts")
-        for leaf in frontier:
-            self.add_edge(leaf, leaf, ONE)
-        packed = tuple(tuple(sorted(out.items())) for out in self.edges)
-        return PMC(tuple(self.states), initial, packed, self.params), frontier
+        for leaf in leaves:
+            edges[leaf].append((leaf, ONE))
+        # A state's targets are distinct, so sorting never compares weights.
+        packed = tuple(tuple(sorted(out)) for out in edges)
+        return PMC(tuple(states), initial, packed, self.params), leaves
 
 
 def compile_chain(net: ParamBN, order: Sequence[str] | None = None) -> PMC:

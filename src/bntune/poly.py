@@ -81,7 +81,11 @@ class Polynomial:
     @classmethod
     def constant(cls, value: int | float | str | Fraction) -> "Polynomial":
         c = as_fraction(value)
-        return cls._normalize({(): c})
+        constant = cls((((), c),) if c else ())  # what _normalize gives, built directly
+        # Filled as the cached property would fill it: readers of every edge's
+        # parameters, such as PMC.lowered, then pay nothing for a constant.
+        vars(constant)["parameters"] = frozenset()
+        return constant
 
     @classmethod
     def parameter(cls, name: str) -> "Polynomial":

@@ -20,7 +20,7 @@ from bntune import (
     parametrize,
     topological_order,
 )
-from bntune.bn import CPT, BayesNet, ParamBN, Variable
+from bntune.bn import ROW_SUM_TOLERANCE, CPT, BayesNet, ParamBN, Variable, _toposort
 from bntune.errors import (
     BadOrder,
     NotWellFormed,
@@ -265,6 +265,130 @@ def test_symbolic_row_sum_enforced_at_construction():
             (("x", (Fraction(4, 10), Fraction(6, 10))),),
             (("x", Fraction(1, 2)),),
         )
+
+
+# -- the row rule ----------------------------------------------------------------
+
+
+def constant_row_error(row) -> str | None:
+    """The row rule's verdict on a constant row, in exact ``Fraction`` arithmetic:
+    the reference for the rule's integer path."""
+    for value in row:
+        if not 0 <= value <= 1:
+            return f"entry {Polynomial.constant(value)} in table of A is outside [0, 1]"
+    total = sum(row)
+    if abs(total - 1) > ROW_SUM_TOLERANCE:
+        return f"row () of A sums to {float(total)}, not 1"
+    return None
+
+
+def row_error(row) -> str | None:
+    try:
+        CPT("A", (((), tuple(Polynomial.constant(v) for v in row)),))
+    except NotWellFormed as exc:
+        return str(exc)
+    return None
+
+
+HALF, TOL, TINY = Fraction(1, 2), ROW_SUM_TOLERANCE, Fraction(1, 10**30)
+BIG = 3**80
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ((HALF, HALF + TOL), None),
+        ((HALF, HALF - TOL), None),
+        ((HALF - TOL / 3, HALF, TOL / 3 + TOL), None),
+        ((HALF, HALF + TOL + TINY), "row () of A sums to 1.000000001, not 1"),
+        ((HALF, HALF - TOL - TINY), "row () of A sums to 0.999999999, not 1"),
+        ((0, 1), None),
+        ((1, 0, 0), None),
+        ((Fraction(-1, 10), Fraction(11, 10)), "entry -1/10 in table of A is outside [0, 1]"),
+        ((Fraction(11, 10), Fraction(-1, 10)), "entry 11/10 in table of A is outside [0, 1]"),
+        ((HALF, Fraction(-1, BIG)), f"entry -1/{BIG} in table of A is outside [0, 1]"),
+        ((0, 0), "row () of A sums to 0.0, not 1"),
+        ((0, 0, 0), "row () of A sums to 0.0, not 1"),
+        ((Fraction(1, BIG), 1 - Fraction(1, BIG)), None),
+        ((Fraction(1, 7**60), Fraction(1, 11**60), 1 - Fraction(1, 7**60)), None),
+        ((Fraction(1, 3), Fraction(1, 7), Fraction(11, 21) + Fraction(2, 10**9 + 7)),
+         "row () of A sums to 1.000000002, not 1"),
+        ((Fraction(BIG - 1, 2 * BIG), HALF + TOL - Fraction(1, 2 * BIG)), None),
+        ((Fraction(BIG - 1, 2 * BIG), HALF + TOL + Fraction(1, BIG)),
+         "row () of A sums to 1.000000001, not 1"),
+    ],
+)
+def test_constant_row_rule_boundaries(row, error):
+    assert row_error(row) == constant_row_error(row) == error
+
+
+def test_constant_row_rule_matches_exact_arithmetic_on_random_rows():
+    rng = random.Random(24)
+    for _ in range(300):
+        size = rng.randint(2, 4)
+        denominators = [rng.choice((1, 2, 10, 10**9, 3**40, rng.randint(1, 10**12)))
+                        for _ in range(size)]
+        row = [Fraction(rng.randint(-1, d), d) for d in denominators]
+        # Move the last entry to land on, just inside or just outside the tolerance.
+        miss = rng.choice((0, TOL, -TOL, TOL + TINY, -TOL - TINY, TOL / 2, 2 * TOL))
+        row[-1] = 1 + miss - sum(row[:-1])
+        assert row_error(row) == constant_row_error(row)
+
+
+def test_parametric_rows_keep_the_symbolic_rule():
+    CPT("A", (((), (X, ONE - X)),))
+    with pytest.raises(NotWellFormed, match=r"parametric row \(\) of A does not sum to 1 symbolically"):
+        CPT("A", (((), (X, Polynomial.constant(HALF))),))
+    # A constant entry of a parametric row is range-checked before the sum.
+    with pytest.raises(NotWellFormed, match=r"entry 3/2 in table of A is outside \[0, 1\]"):
+        CPT("A", (((), (X, Polynomial.constant(Fraction(3, 2)))),))
+
+
+# -- the parent graph --------------------------------------------------------------
+
+
+def quadratic_toposort(variables) -> tuple[str, ...]:
+    """The reference order: repeatedly place the earliest-declared variable
+    whose parents are all placed, rescanning every name each step."""
+    remaining = {v.name: set(v.parents) for v in variables}
+    order: list[str] = []
+    while remaining:
+        ready = [v.name for v in variables if v.name in remaining and not remaining[v.name]]
+        if not ready:
+            raise NotWellFormed("the parent graph has a cycle")
+        order.append(ready[0])
+        del remaining[ready[0]]
+        for deps in remaining.values():
+            deps.discard(ready[0])
+    return tuple(order)
+
+
+def test_toposort_matches_the_quadratic_reference():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        rank = list(range(n))
+        rng.shuffle(rank)  # node i may only have parents of lower rank
+        by_rank = sorted(range(n), key=rank.__getitem__)
+        variables = []
+        for i in range(n):
+            earlier = by_rank[: rank[i]]
+            parents = rng.sample(earlier, min(len(earlier), rng.randint(0, 3)))
+            variables.append(Variable(f"V{i}", ("a", "b"), tuple(f"V{p}" for p in parents)))
+        assert _toposort(tuple(variables)) == quadratic_toposort(variables)
+
+
+def test_toposort_rejects_a_cycle_below_a_free_variable():
+    variables = (
+        Variable("A", ("a", "b"), ()),
+        Variable("B", ("a", "b"), ("A", "D")),
+        Variable("C", ("a", "b"), ("B",)),
+        Variable("D", ("a", "b"), ("C",)),
+        Variable("E", ("a", "b"), ("A",)),
+    )
+    for sort in (_toposort, quadratic_toposort):
+        with pytest.raises(NotWellFormed, match="the parent graph has a cycle"):
+            sort(variables)
 
 
 def test_topological_order_prefers_declaration_and_validates():

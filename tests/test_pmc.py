@@ -29,9 +29,10 @@ from bntune import (
 from bntune.errors import BadOrder, EvidenceImpossible, NotWellFormed, TooLarge
 from bntune.lifting import substitute
 from bntune.oracle import infer, joint_table
-from bntune.pmc import PMC, LeveledSolver, StateLabel
+from bntune.pmc import PMC, LeveledSolver, ReachSpec, StateLabel
 from conftest import (
     build_covid_pbn,
+    build_layered_6x6,
     covid_posterior,
     edge_map,
     layered_tables,
@@ -382,6 +383,78 @@ def test_to_dot_renders_the_graph(tailored):
     assert '[label="p"]' in dot
 
 
+# -- the compiler's output -----------------------------------------------------
+
+
+def layered_pbn(size: int) -> ParamBN:
+    """The bench's seeded size x size layered net with x on L0_0 and y on a middle row."""
+    variables, tables = layered_tables(size, size, 1)
+    coords = (("L0_0", (), 0), (f"L{size // 2}_0", ("t", "t"), 0))
+    return parametrize(net_from_tables(variables, tables), coords, {coords[0]: "x", coords[1]: "y"})
+
+
+def chain_digest(pmc: PMC, spec: ReachSpec | None) -> str:
+    pinned = repr((pmc.states, pmc.initial, pmc.edges, pmc.params, spec))
+    return hashlib.sha256(pinned.encode()).hexdigest()
+
+
+#: Per layered net size L: the tailored chains of Pr(L{L-1}_0 = t) <= 0.51
+#: given no evidence, L{L-1}_1 = f, and L{L-1}_1 = f with L{L-2}_2 = t, then
+#: the plain chain.  Recorded before the builder stopped building a label
+#: per edge; every state number, label, edge and weight must stay the same.
+COMPILED = {
+    4: ("41d0d03d2f835106699ee347cf3e6c5caa3505826451536ea56471f2f85049c2",
+        "aa03154f092b2a1269386225259e1231943190f5fb16977b0f48678d8281a925",
+        "e10a290366357b0b86eefafa9531410a20695c1d1cb5b179fc5bccb2293c7014",
+        "e4f5f497597629894f648f39f53cd982fb796665d45c80a2055fc7322050f3ac"),
+    5: ("c2dca2c5b9cd9e5a21d4bb3979f646e6e87a5e36252ff712bca7e1d1317acbd7",
+        "6753dad08540b8fa4c71231019348b20c97a63631cdd3f2505004ed2353ea7db",
+        "ad5b802b2544775da96c3de7730fbe8c03d7e440998465d457f7c229f77444b3",
+        "e2f0cc2cc4d70dc8d008493b5004b3be7a67f8cae21e9e303e5e3648b29a7153"),
+    6: ("0534bf43b37d23cdaa81d37c040d9571a4476c5242f260b345b9b465d88f2cab",
+        "53b4024c1a09a3c5faeed9ac43d34117321cc0527f7cce9a8b12c212896d3614",
+        "bf398d8b9034818547bea98ba60d03cca88ecfd9242d299f9db68eeb0b0308aa",
+        "4801c2286bf9d6c2a45e53c4656dd1e8158f1c4b632669ae5e7b693204629994"),
+    7: ("eacd1d724cbd549fea1c621e5656a44f12125667f313b17ba47979d90f566985",
+        "f3230255a363a1846c65f4146655c7519183b24933ad4be76ec887219ca042f2",
+        "6ae964c486945167cd1b853ba82da8664575635f37d5f6936bcc868a90936707",
+        "bd3718f6325f023aa584c59a605022bc427574a7396419820abcc7aea1329d79"),
+}
+
+
+@pytest.mark.parametrize("size", sorted(COMPILED))
+def test_compiled_layered_chains_are_pinned(size):
+    pbn = layered_pbn(size)
+    last, second = (f"L{size - 1}_1", "f"), (f"L{size - 2}_2", "t")
+    digests = []
+    for evidence in ((), (last,), (last, second)):
+        probe = Constraint(((f"L{size - 1}_0", "t"),), evidence, "<=", Fraction(51, 100))
+        digests.append(chain_digest(*compile_tailored(pbn, probe)))
+    digests.append(chain_digest(compile_chain(pbn), None))
+    assert tuple(digests) == COMPILED[size]
+
+
+def test_compiled_covid_chains_are_pinned(covid_pbn, covid_constraint):
+    assert chain_digest(*compile_tailored(covid_pbn, covid_constraint)) == (
+        "ad34398d4c3251d83d51ab239a9dd4fbc62b1d2a771136f963127c57cedbeb51"
+    )
+    assert chain_digest(compile_chain(covid_pbn), None) == (
+        "d82e3273cecb97770b2dae627bd393d563219be7c3088f24741d658312a56c04"
+    )
+
+
+def test_compile_builds_one_label_per_state(monkeypatch):
+    built = []
+
+    def counting_label(*args, **kwargs):
+        built.append(args)
+        return StateLabel(*args, **kwargs)
+
+    monkeypatch.setattr("bntune.pmc.StateLabel", counting_label)
+    pmc, _ = compile_tailored(*build_layered_6x6())
+    assert len(built) == pmc.n_states == 317
+
+
 # -- the chain's first use: lowering and collapse -----------------------------
 
 
@@ -399,9 +472,7 @@ def test_lowering_and_collapse_keep_their_floats(size, evidence, states, passed,
     # The digests pin every float, order and form of the lowering and the
     # collapsed solver on the bench's seeded layered nets; they were recorded
     # before the two passes were rewritten to skip work on constant states.
-    variables, tables = layered_tables(size, size, 1)
-    coords = (("L0_0", (), 0), (f"L{size // 2}_0", ("t", "t"), 0))
-    pbn = parametrize(net_from_tables(variables, tables), coords, {coords[0]: "x", coords[1]: "y"})
+    pbn = layered_pbn(size)
     probe = Constraint(((f"L{size - 1}_0", "t"),), evidence, "<=", Fraction(1))
     pmc, spec = compile_tailored(pbn, probe)
     s = pmc.solver(spec.targets)

@@ -103,6 +103,15 @@ def test_parameters_and_constant_value():
     assert Polynomial.constant(Fraction(3, 7)).constant_value() == Fraction(3, 7)
 
 
+def test_a_constant_is_built_in_canonical_form_with_its_parameters_known():
+    for value in (0, Fraction(3, 7), "0.25", 1):
+        built = Polynomial.constant(value)
+        assert built == Polynomial._normalize({(): as_fraction(value)})
+        # Known before any read, so a chain's lowering never computes it.
+        assert vars(built)["parameters"] == frozenset()
+    assert Polynomial.constant(0).terms == ()
+
+
 def test_str_rendering():
     c = Polynomial.constant
     f = c(34900) * Polynomial.parameter("p") * Polynomial.parameter("q")
