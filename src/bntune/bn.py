@@ -278,7 +278,8 @@ class Constraint:
     """``Pr(hypothesis | evidence) <= threshold`` (or ``>=``).
 
     Hypothesis and evidence are conjunctions of (variable, value) literals over
-    disjoint variable sets; evidence may be empty.
+    disjoint variable sets; evidence may be empty.  The threshold is stored as
+    :func:`as_fraction` reads it: a float ``0.1`` is ``Fraction(1, 10)``.
     """
 
     hypothesis: tuple[tuple[str, str], ...]
@@ -297,6 +298,7 @@ class Constraint:
             raise NotWellFormed("a variable may appear at most once per literal list")
         if set(hyp_vars) & set(ev_vars):
             raise NotWellFormed("hypothesis and evidence must mention disjoint variables")
+        object.__setattr__(self, "threshold", as_fraction(self.threshold))
         if not (0 <= self.threshold <= 1):
             raise NotWellFormed(f"threshold {self.threshold} is outside [0, 1]")
 

@@ -16,12 +16,13 @@ A parameter file selects tunable entries::
     }
 
 A constraint is a single line like ``P(Covid=no | Antigen=pos & PCR=pos) <= 0.009``.
-``#`` starts a comment that runs to the end of the line.  All numbers are read
-exactly (decimal strings become exact rationals); a decimal exponent above
-10 000 in magnitude is a :class:`ParseError`.  The parsers raise only
-:class:`ParseError`: with the line and column of the offending token where
-one token is at fault, and chained (``from``) to the error of the object
-being built otherwise.
+``#`` starts a comment that runs to the end of the line; the lexer reads it
+as whitespace, so error positions count it like any other text.  All
+numbers are read exactly (decimal strings become exact rationals); a
+decimal exponent above 10 000 in magnitude is a :class:`ParseError`.  The
+parsers raise only :class:`ParseError`: with the line and column of the
+offending token where one token is at fault, and chained (``from``) to the
+error of the object being built otherwise.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def float17(value: float) -> str:
 # -- lexing -------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    r"""(?P<ws>(?:\s|\#[^\n]*)+)
       | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
       | (?P<name>[A-Za-z_][A-Za-z0-9_\-]*)
       | (?P<op><=|>=|[{}():;,=|&])
@@ -73,17 +74,6 @@ class _Token:
     text: str
     line: int
     column: int
-
-
-def _strip_comments(text: str) -> str:
-    """Blank out ``#`` comments without moving anything (positions survive)."""
-    lines = []
-    for line in text.split("\n"):
-        cut = line.find("#")
-        if cut >= 0:
-            line = line[:cut] + " " * (len(line) - cut)
-        lines.append(line)
-    return "\n".join(lines)
 
 
 def _lex(text: str) -> list[_Token]:
@@ -109,7 +99,7 @@ def _lex(text: str) -> list[_Token]:
 
 class _Scanner:
     def __init__(self, text: str):
-        self.tokens = _lex(_strip_comments(text))
+        self.tokens = _lex(text)
         self.i = 0
 
     def peek(self) -> _Token:

@@ -141,7 +141,8 @@ class PMC:
 
 @dataclass(frozen=True)
 class ReachSpec:
-    """A reachability constraint: compare Pr(reach targets) against a threshold."""
+    """A reachability constraint: compare Pr(reach targets) against a threshold,
+    stored as :func:`as_fraction` reads it (as in :class:`Constraint`)."""
 
     targets: frozenset[int]
     direction: str
@@ -152,6 +153,7 @@ class ReachSpec:
             raise NotWellFormed("a reachability constraint needs at least one target state")
         if self.direction not in ("<=", ">="):
             raise NotWellFormed(f"direction must be '<=' or '>=', got {self.direction!r}")
+        object.__setattr__(self, "threshold", as_fraction(self.threshold))
         if not (0 <= self.threshold <= 1):
             raise NotWellFormed(f"threshold {self.threshold} is outside [0, 1]")
 
@@ -352,7 +354,8 @@ def compile_tailored(
     Transitions into states that would violate an evidence literal restart at
     the initial state, so the probability of reaching the hypothesis-true
     leaves equals the conditional probability of the hypothesis given the
-    evidence, at every instantiation that keeps the chain's topology.
+    evidence, at every instantiation that keeps the chain's topology.  The
+    spec keeps the constraint's threshold, so both give one verdict.
 
     The evidence must have positive probability at the network's recorded
     original values, when it has them, and otherwise along some path of
@@ -363,7 +366,7 @@ def compile_tailored(
     targets = frozenset(s for s in leaves if chain.states[s].hypothesis)
     if not targets:
         raise NotWellFormed("no leaf satisfies the hypothesis; its probability is identically 0")
-    return chain, ReachSpec(targets, constraint.direction, as_fraction(constraint.threshold))
+    return chain, ReachSpec(targets, constraint.direction, constraint.threshold)
 
 
 class LeveledSolver:

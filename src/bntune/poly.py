@@ -1,8 +1,8 @@
 """Multivariate polynomials over named parameters, and axis-aligned parameter boxes.
 
 Coefficients are exact rationals so that symbolic identities (row sums, state
-elimination) hold without rounding; evaluation at floating-point arguments
-produces floats.
+elimination) hold without rounding; evaluation reads a float argument at its
+exact binary value and rounds the exact result once to a float.
 """
 
 from __future__ import annotations
@@ -150,35 +150,36 @@ class Polynomial:
     def evaluate(self, u: Mapping[str, Rational | float]) -> Fraction | float:
         """Substitute values for parameters.
 
-        Exact ``Fraction``/``int`` arguments give an exact result; any float
-        argument makes the result a float.  Parameters occurring in the
-        polynomial but missing from ``u`` raise :class:`UnboundParameter`.
+        A float argument is read at its exact binary value.  The result is the
+        exact value as a ``Fraction``, or, when some argument of a parameter
+        that occurs here is a float, that value rounded once to a float.  A
+        NaN or infinite float raises (``ValueError``, ``OverflowError``), and
+        parameters missing from ``u`` raise :class:`UnboundParameter`.
         """
-        missing = self.parameters - u.keys()
-        if missing:
-            raise UnboundParameter(f"no value for parameter(s) {sorted(missing)}")
-        exact = all(isinstance(u[name], (int, Fraction)) for name in self.parameters)
-        if exact:
-            total = Fraction(0)
-            for mono, coeff in self.terms:
-                term = coeff
-                for name, exp in mono:
-                    term *= Fraction(u[name]) ** exp
-                total += term
-            return total
-        return self.evaluate_numeric(u)
+        rounded, point = False, {}
+        for name in self.parameters & u.keys():
+            value = u[name]
+            if isinstance(value, float):
+                value, rounded = Fraction(value), True
+            point[name] = value
+        num, den = self._exact(point)
+        return num / den if rounded else Fraction(num, den)
 
     def evaluate_rounded(self, u: Mapping[str, Rational]) -> float:
         """The exact value at the rational point ``u``, rounded once to a float.
 
         The result is within half a unit in the last place of the true value,
         which :meth:`evaluate_numeric` cannot promise: its ``c - c*x`` loses
-        relative accuracy as ``x`` nears 1.  The value is accumulated as one
-        integer numerator over one integer denominator; Python's int/int
-        division rounds correctly, so the result equals ``float`` of the exact
-        ``Fraction``.  Parameters missing from ``u`` raise
-        :class:`UnboundParameter`.
+        relative accuracy as ``x`` nears 1.  Python's int/int division rounds
+        correctly, so the result equals ``float`` of the exact ``Fraction``.
+        Parameters missing from ``u`` raise :class:`UnboundParameter`.
         """
+        num, den = self._exact(u)
+        return num / den
+
+    def _exact(self, u: Mapping[str, Rational]) -> tuple[int, int]:
+        """The exact value at the rational point ``u`` as one integer numerator
+        over one positive integer denominator, not reduced."""
         num, den = 0, 1
         try:
             for mono, coeff in self.terms:
@@ -192,10 +193,11 @@ class Polynomial:
         except KeyError:
             missing = sorted(self.parameters - u.keys())
             raise UnboundParameter(f"no value for parameter(s) {missing}") from None
-        return num / den
+        return num, den
 
     def evaluate_numeric(self, u: Mapping[str, float]):
-        """Float evaluation; also broadcasts over numpy arrays passed as values."""
+        """Float Horner evaluation that broadcasts over numpy arrays passed as
+        values; only the reference grid search (:mod:`bntune.oracle`) uses it."""
         total = 0.0
         for mono, coeff in self.terms:
             term = float(coeff)

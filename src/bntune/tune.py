@@ -140,7 +140,7 @@ def _distance_cd(pbn: ParamBN) -> Callable[[Instantiation], float]:
                 continue
             if old == 0 or new == 0:
                 return math.inf
-            ratio = new / float(old) if isinstance(new, float) else Fraction(new) / Fraction(old)
+            ratio = new / old
             hi = max(hi, ratio)
             lo = min(lo, ratio)
         return float(math.log(hi) - math.log(lo))

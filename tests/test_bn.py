@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from bntune import (
     Region,
     RegionVerifier,
     Verdict,
+    as_fraction,
     compile_tailored,
     instantiate,
     net_from_tables,
@@ -461,6 +463,23 @@ def test_constraint_satisfied_by():
     ge = Constraint((("A", "a"),), (), ">=", Fraction(1, 2))
     assert le.satisfied_by(0.5) and le.satisfied_by(0.2) and not le.satisfied_by(0.7)
     assert ge.satisfied_by(0.5) and ge.satisfied_by(0.7) and not ge.satisfied_by(0.2)
+
+
+def test_constraint_and_compiled_spec_read_one_threshold():
+    # A float threshold means the decimal it was written as, in the
+    # constraint and in the chain's spec alike, so both give one verdict on
+    # the float nearest the threshold and on its two neighbours.
+    net = net_from_tables([("A", ("a", "b"), ())], {"A": {(): ("0.5", "0.5")}})
+    for t in (0.1, 0.3, 1 / 3):
+        for direction in ("<=", ">="):
+            constraint = Constraint((("A", "a"),), (), direction, t)
+            _, spec = compile_tailored(net, constraint)
+            assert spec.threshold == constraint.threshold == as_fraction(t)
+            for p in (math.nextafter(t, 0.0), float(t), math.nextafter(t, 1.0)):
+                assert constraint.satisfied_by(p) == spec.satisfied_by(p), (t, direction, p)
+    assert Constraint((("A", "a"),), (), "<=", 0.1) == Constraint(
+        (("A", "a"),), (), "<=", Fraction(1, 10)
+    )
 
 
 def test_parambn_topological_order(covid_pbn):

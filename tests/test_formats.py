@@ -48,6 +48,31 @@ def test_parse_network_comments_and_whitespace(covid_net):
     assert parse_network(noisy) == covid_net
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        # a comment at the end of a line
+        ("var A { values: a, b; } # note: a, b\ncpt A { (): 0.5, 0.5 ! }", (2, 22)),
+        # full-line comments, one indented
+        ("# header\n  # indented\nvar A { values: a, b; }\ncpt A { (): 0.5 0.5; }", (4, 17)),
+        # a comment right after a number, with no space
+        ("var A { values: a, b; }\ncpt A { (): 0.5#x, 0.5; }", (2, 26)),
+        ("var A { values: a, b; }\ncpt A { (): 0.5#x\n, 0.6; }", (2, 9)),
+        # CRLF line ends
+        ("var A { values: a, b; } # c\r\ncpt A { (): 0.5, 0.5; }\r\n  cpt A { (): 1, 0; }\r\n", (3, 3)),
+        ("var A { values: a, b; }\r\n# c\r\ncpt A { (): 0.5, 0.5 ; } $", (3, 26)),
+        # a final comment with no newline
+        ("var A { values: a, b; }\ncpt A { (): 0.5, 0.5; # unfinished", (2, 35)),
+    ],
+    ids=["end-of-line", "full-line", "no-space", "no-space-newline", "crlf", "crlf-full-line",
+         "final-no-newline"],
+)
+def test_parse_errors_count_comments_as_text(text, position):
+    with pytest.raises(ParseError) as excinfo:
+        parse_network(text)
+    assert (excinfo.value.line, excinfo.value.column) == position
+
+
 def test_parse_network_numeric_value_labels():
     text = """
     var Bit { values: 0, 1; }

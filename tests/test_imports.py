@@ -14,7 +14,8 @@ A package module imports another module's private name (``_x``) only
 where ``PRIVATE_IMPORTS`` names that import and says why.
 Importing the package must not load numpy, which only
 ``oracle.grid_min_distance`` needs; that function's numpy import is the one
-import of the package made inside a function.
+import of the package made inside a function.  Only ``oracle`` calls
+``Polynomial.evaluate_numeric``, the float Horner loop of its numpy grid.
 """
 
 from __future__ import annotations
@@ -340,6 +341,32 @@ def test_the_check_finds_an_unread_member():
     }
     readers = dict(package, b="from a import Box\nBox().used()\nBox.assigned = None")
     assert unread_members(package, readers) == ["Box.unread", "Box.assigned"]
+
+
+def attribute_readers(sources: dict[str, str], attr: str) -> list[str]:
+    """Modules of ``sources`` that read ``attr`` as an attribute (``x.attr``)."""
+    return sorted(
+        module
+        for module, source in sources.items()
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == attr
+            for node in ast.walk(ast.parse(source))
+        )
+    )
+
+
+def test_only_the_oracle_evaluates_in_float_horner():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert attribute_readers(sources, "evaluate_numeric") == ["oracle"]
+
+
+def test_the_check_finds_an_attribute_reader():
+    sources = {
+        "a": "def f(p, u):\n    return p.evaluate_numeric(u)",
+        "b": "def evaluate_numeric(u):\n    return u\nvalue = evaluate_numeric(1)",
+        "c": "class P:\n    def g(self, u):\n        return self.evaluate_numeric(u)",
+    }
+    assert attribute_readers(sources, "evaluate_numeric") == ["a", "c"]
 
 
 def test_importing_the_package_does_not_load_numpy():

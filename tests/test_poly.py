@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -59,18 +60,47 @@ def random_argument(rng: random.Random) -> int | Fraction:
     return Fraction(rng.randint(-10**6, 10**6), 10 ** rng.randint(0, 9))  # decimal
 
 
+def reference_value(f: Polynomial, u) -> Fraction:
+    """The exact value of ``f`` at the rational point ``u``, term by term."""
+    total = Fraction(0)
+    for mono, coeff in f.terms:
+        term = coeff
+        for name, exp in mono:
+            term *= Fraction(u[name]) ** exp
+        total += term
+    return total
+
+
 def test_evaluate_rounded_is_the_exact_value_rounded_once():
     rng = random.Random(2024)
     polys = [ZERO, Polynomial.constant(Fraction(-7, 3)), X1 * X1 - X2 * X1 + Polynomial.constant(1)]
     polys += [random_polynomial(rng) for _ in range(2000)]
     for f in polys:
         u = {name: random_argument(rng) for name in ("x1", "x2", "x3")}
+        exact = reference_value(f, u)
         value = f.evaluate_rounded(u)
         assert type(value) is float
-        assert value == float(f.evaluate(u))
+        assert value == float(exact)
+        assert type(f.evaluate(u)) is Fraction and f.evaluate(u) == exact
+        # A float argument is read at its exact binary value and the exact
+        # result is rounded once, bit for bit.
+        floats = {name: float(v) for name, v in u.items()}
+        value = f.evaluate(floats)
+        if f.parameters:
+            assert type(value) is float
+            assert value == float(reference_value(f, {n: Fraction(v) for n, v in floats.items()}))
+        else:
+            assert value == exact
     assert ZERO.evaluate_rounded({}) == 0.0
     with pytest.raises(UnboundParameter):
         (X1 + X2).evaluate_rounded({"x1": Fraction(1, 2)})
+    # Float Horner gives 2.3333333309949467e-07 here: c - c*x cancels near 1.
+    near_one = (ONE - X1) * Polynomial.constant(Fraction(7, 3))
+    assert near_one.evaluate({"x1": 0.9999999}) == 2.3333333321051697e-07
+    with pytest.raises(ValueError):
+        near_one.evaluate({"x1": math.nan})
+    with pytest.raises(OverflowError):
+        near_one.evaluate({"x1": math.inf})
 
 
 def test_eval_float_inputs_stay_floating():
