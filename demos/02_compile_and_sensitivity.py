@@ -40,9 +40,7 @@ def main() -> None:
     form = sensitivity_function(chain, tuple(sorted(spec.targets)))
     print(f"sensitivity function: ({form.numerator}) / ({form.denominator})")
     for p, q in ((0.72, 0.95), (0.92075, 0.97475)):
-        u = {"p": p, "q": q}
-        value = form.numerator.evaluate(u) / form.denominator.evaluate(u)
-        print(f"  at p={p}, q={q}: {value:.6f}")
+        print(f"  at p={p}, q={q}: {form.evaluate({'p': p, 'q': q}):.6f}")
 
     dot_path = Path(__file__).parent / "diagnostic-chain.dot"
     dot_path.write_text(to_dot(chain, tuple(sorted(spec.targets))))

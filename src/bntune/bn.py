@@ -73,10 +73,16 @@ class CPT:
     Each row holds one polynomial entry per value of the owning variable
     (constant polynomials in a plain network).  Construction checks each row,
     in order, by the row rule (:func:`_check_row`); rows are kept as written.
+    ``_fits`` (not a field) is the ``variables`` tuple object that
+    :func:`_check_tables` last found the table's row keys and lengths to fit,
+    so a network built from the same tuple does not check the table again
+    (a list of variables never marks a table).
     """
 
     owner: str
     rows: tuple[tuple[tuple[str, ...], tuple[Polynomial, ...]], ...]
+
+    _fits = None
 
     def __post_init__(self):
         for key, row in self.rows:
@@ -104,7 +110,14 @@ class CPT:
 
 
 def _check_tables(variables: tuple[Variable, ...], cpts: tuple[CPT, ...]) -> None:
-    """How the tables fit together: names, parents, no cycle, alignment, row keys and lengths."""
+    """How the tables fit together: names, parents, no cycle, alignment, row keys and lengths.
+
+    The net-wide checks always run.  A table's row keys and lengths are
+    checked once per ``variables`` tuple: the table then keeps that tuple as
+    its mark (``CPT._fits``), and as tuples and variables are immutable, a
+    table marked with this same object still fits it.  Any other sequence,
+    such as a list that may change between two networks, checks every table.
+    """
     by_name = {v.name: v for v in variables}
     if len(by_name) != len(variables):
         raise NotWellFormed("duplicate variable name")
@@ -115,16 +128,25 @@ def _check_tables(variables: tuple[Variable, ...], cpts: tuple[CPT, ...]) -> Non
     _toposort(variables)  # raises on cycles
     if tuple(c.owner for c in cpts) != tuple(v.name for v in variables):
         raise NotWellFormed("tables must be aligned with the variable list, one per variable")
+    markable = type(variables) is tuple
     for v, table in zip(variables, cpts):
-        expected = set(itertools.product(*(by_name[p].values for p in v.parents)))
-        seen = [key for key, _ in table.rows]
-        if len(seen) != len(set(seen)):
-            raise NotWellFormed(f"table of {v.name} repeats a row")
-        if set(seen) != expected:
-            raise NotWellFormed(f"table of {v.name} does not cover each parent evaluation exactly once")
-        for key, row in table.rows:
-            if len(row) != len(v.values):
-                raise NotWellFormed(f"row {key} of {v.name} has {len(row)} entries, expected {len(v.values)}")
+        if not (markable and table._fits is variables):
+            _check_table(v, table, by_name)
+            if markable:
+                object.__setattr__(table, "_fits", variables)
+
+
+def _check_table(v: Variable, table: CPT, by_name: Mapping[str, Variable]) -> None:
+    """One table's row keys: each parent evaluation once; and row lengths."""
+    expected = set(itertools.product(*(by_name[p].values for p in v.parents)))
+    seen = [key for key, _ in table.rows]
+    if len(seen) != len(set(seen)):
+        raise NotWellFormed(f"table of {v.name} repeats a row")
+    if set(seen) != expected:
+        raise NotWellFormed(f"table of {v.name} does not cover each parent evaluation exactly once")
+    for key, row in table.rows:
+        if len(row) != len(v.values):
+            raise NotWellFormed(f"row {key} of {v.name} has {len(row)} entries, expected {len(v.values)}")
 
 
 def _check_row(owner: str, key: tuple[str, ...], row: tuple[Polynomial, ...]) -> None:
@@ -323,7 +345,10 @@ def net_from_tables(
 
     ``variables`` lists (name, values, parents); ``tables[name]`` maps parent
     value tuples to entry sequences.  Numeric entries are converted exactly via
-    their decimal form, so rows written as decimals sum to one symbolically.
+    their decimal form (:func:`as_fraction`), so rows written as decimals sum
+    to one symbolically.  Each distinct literal, told apart by its type and
+    value, is converted once per call, and every entry that repeats it shares
+    one constant :class:`Polynomial`; a :class:`Polynomial` entry is kept.
     """
     var_objs = tuple(Variable(n, tuple(vals), tuple(parents)) for n, vals, parents in variables)
     declared = {v.name for v in var_objs}
@@ -333,20 +358,21 @@ def net_from_tables(
     missing = sorted(declared - set(tables))
     if missing:
         raise NotWellFormed(f"no table given for variable(s) {missing}")
+    constants: dict[tuple[type, object], Polynomial] = {}
+
+    def entry(e) -> Polynomial:
+        if isinstance(e, Polynomial):
+            return e
+        key = (type(e), e)  # 0.1 == Fraction(0.1), yet as_fraction reads 0.1 as 1/10
+        constant = constants.get(key)
+        if constant is None:
+            constant = constants[key] = Polynomial.constant(e)
+        return constant
+
     cpts = []
     for v in var_objs:
-        rows = []
-        for key, entries in tables[v.name].items():
-            rows.append(
-                (
-                    tuple(key),
-                    tuple(
-                        e if isinstance(e, Polynomial) else Polynomial.constant(as_fraction(e))
-                        for e in entries
-                    ),
-                )
-            )
-        cpts.append(CPT(v.name, tuple(rows)))
+        rows = tuple((tuple(key), tuple(map(entry, entries))) for key, entries in tables[v.name].items())
+        cpts.append(CPT(v.name, rows))
     return BayesNet(var_objs, tuple(cpts))
 
 

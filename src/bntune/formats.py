@@ -28,8 +28,8 @@ error of the object being built otherwise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bn import (
     CPT,
@@ -68,8 +68,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "name" | "number" | "op" | "end"
     text: str
     line: int

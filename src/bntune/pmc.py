@@ -13,10 +13,11 @@ variable is *barren*, sums out to one and cannot change the conditional.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .bn import Constraint, Instantiation, ParamBN, topological_order
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     NotWellFormed,
     TooLarge,
 )
-from .poly import ONE, ZERO, Polynomial, _binary_fraction, as_fraction
+from .poly import ONE, ZERO, Polynomial, _binary_fraction, _exact_point, as_fraction
 
 #: State-space guard for exact symbolic elimination.
 ELIMINATION_GUARD = 10**4
@@ -252,10 +253,11 @@ class _Builder:
 
         A state of a level is named by a plain tuple key: the values of the
         level's carried set, in its order, then the hypothesis flag.  A
-        source's row and its targets' keys are read off the source's key at
-        positions computed once per level, and a :class:`StateLabel` is built
-        only for a new state.  The next level is numbered in the order its
-        states are first reached, and each state's edges are sorted by target.
+        source's row and its targets' keys are read off the source's key by
+        one picker each (:func:`_picker`) of positions computed once per
+        level, and a :class:`StateLabel` is built only for a new state.  The
+        next level is numbered in the order its states are first reached,
+        and each state's edges are sorted by target.
 
         A tailored build raises :class:`EvidenceImpossible` when no leaf is
         reachable along edges that are positive at the recorded original
@@ -280,13 +282,13 @@ class _Builder:
             ev_value = self.evidence.get(var_name)
             hyp_value = self.hypothesis.get(var_name)
             at = {name: i for i, name in enumerate(previous)}
-            parents = [at[p] for p in variable.parents]
-            kept = [at[w] for w in keep[:-1]]
+            parents_of = _picker([at[p] for p in variable.parents])
+            kept_of = _picker([at[w] for w in keep[:-1]])
             ids: dict[tuple, int] = {}
             next_frontier: list[tuple[int, tuple]] = []
             for source, key in frontier:
-                row = table.row(tuple(key[i] for i in parents))
-                values = tuple(key[i] for i in kept)
+                row = table.row(parents_of(key))
+                values = kept_of(key)
                 hyp = key[-1]
                 live = tailored and source in reached
                 out = edges[source]
@@ -326,6 +328,16 @@ class _Builder:
         # A state's targets are distinct, so sorting never compares weights.
         packed = tuple(tuple(sorted(out)) for out in edges)
         return PMC(tuple(states), initial, packed, self.params), leaves
+
+
+def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The function that picks the items at ``positions`` of a tuple, as a tuple."""
+    if not positions:
+        return lambda key: ()
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda key: (key[i],)
+    return operator.itemgetter(*positions)
 
 
 def compile_chain(net: ParamBN, order: Sequence[str] | None = None) -> PMC:
@@ -656,11 +668,19 @@ class SensitivityFunction:
     denominator: Polynomial
 
     def evaluate(self, u: Mapping) -> Fraction | float:
-        num = self.numerator.evaluate(u)
-        den = self.denominator.evaluate(u)
-        if den == 0:
+        """The ratio at ``u``, read as :meth:`Polynomial.evaluate` reads it.
+
+        Both polynomials are evaluated exactly at the same point, floats at
+        their exact binary value, and the exact ratio is returned as a
+        ``Fraction``, or, when some argument is a float, rounded once to a
+        float.  A zero denominator raises ``ZeroDivisionError``.
+        """
+        point, rounded = _exact_point(self.numerator.parameters | self.denominator.parameters, u)
+        n1, d1 = self.numerator._exact(point)
+        n2, d2 = self.denominator._exact(point)
+        if not n2:
             raise ZeroDivisionError("sensitivity function denominator is zero here")
-        return num / den
+        return n1 * d2 / (d1 * n2) if rounded else Fraction(n1 * d2, d1 * n2)
 
     def __str__(self) -> str:
         return f"({self.numerator}) / ({self.denominator})"

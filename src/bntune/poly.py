@@ -24,7 +24,7 @@ Rational = Union[int, Fraction]
 
 #: Largest decimal exponent magnitude that :func:`as_fraction` accepts.
 _MAX_EXPONENT = 10_000
-_EXPONENT_RE = re.compile(r"[eE][+-]?([\d_]+)\s*$")
+_EXPONENT_RE = re.compile(r"[eE][+-]?(\d+)\s*$")
 
 
 def as_fraction(value: int | float | str | Fraction) -> Fraction:
@@ -33,8 +33,10 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
     Floats are converted through their shortest round-tripping decimal form,
     so ``as_fraction(0.3) == Fraction(3, 10)`` — the value the literal meant,
     not the nearest binary double.  Strings accept plain decimals, scientific
-    notation, and ``a/b``; a decimal exponent above 10 000 in magnitude
-    raises :class:`ValueError`, since its exact value would take
+    notation, and ``a/b``, without ``_`` digit separators (which ``Fraction``
+    accepts from Python 3.11 on only), so every supported Python reads the
+    same strings; a ``_`` or a decimal exponent above 10 000 in magnitude
+    raises :class:`ValueError`, the latter since its exact value would take
     seconds to build.
     """
     if isinstance(value, Fraction):
@@ -44,13 +46,27 @@ def as_fraction(value: int | float | str | Fraction) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
+        if "_" in value:
+            raise ValueError(f"invalid literal for an exact rational: {value!r}")
         exponent = _EXPONENT_RE.search(value)
         if exponent is not None:
-            digits = exponent.group(1).replace("_", "").lstrip("0")
+            digits = exponent.group(1).lstrip("0")
             if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
                 raise ValueError(f"decimal exponent exceeds {_MAX_EXPONENT} in magnitude")
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _exact_point(names: frozenset[str], u: Mapping[str, Rational | float]) -> tuple[dict, bool]:
+    """The arguments in ``u`` of the parameters ``names``, each float read at
+    its exact binary value, and whether any of them was a float."""
+    rounded, point = False, {}
+    for name in names & u.keys():
+        value = u[name]
+        if isinstance(value, float):
+            value, rounded = Fraction(value), True
+        point[name] = value
+    return point, rounded
 
 
 def _binary_fraction(value: int | float | str | Fraction) -> Fraction:
@@ -156,12 +172,7 @@ class Polynomial:
         NaN or infinite float raises (``ValueError``, ``OverflowError``), and
         parameters missing from ``u`` raise :class:`UnboundParameter`.
         """
-        rounded, point = False, {}
-        for name in self.parameters & u.keys():
-            value = u[name]
-            if isinstance(value, float):
-                value, rounded = Fraction(value), True
-            point[name] = value
+        point, rounded = _exact_point(self.parameters, u)
         num, den = self._exact(point)
         return num / den if rounded else Fraction(num, den)
 

@@ -22,6 +22,7 @@ from bntune import (
     parametrize,
     topological_order,
 )
+from bntune import bn
 from bntune.bn import ROW_SUM_TOLERANCE, CPT, BayesNet, ParamBN, Variable, _toposort
 from bntune.errors import (
     BadOrder,
@@ -31,7 +32,7 @@ from bntune.errors import (
     UnsupportedMultiEntryRow,
     ZeroEntry,
 )
-from conftest import CP, CQ, random_net, random_parametrization
+from conftest import CP, CQ, layered_tables, random_net, random_parametrization
 
 P = Polynomial.parameter("p")
 X = Polynomial.parameter("x")
@@ -436,6 +437,85 @@ def test_net_from_tables_rejects_bad_rows():
             [("A", ("a", "b"), ())],
             {"A": {(): ("0.5", "0.5")}, "B": {(): ("0.5", "0.5")}},
         )
+
+
+def test_net_from_tables_shares_one_constant_per_literal():
+    variables, tables = layered_tables(6, 6, 1)
+    net = net_from_tables(variables, tables)
+    first: dict[str, Polynomial] = {}
+    entries = []
+    for name, rows in tables.items():
+        for key, literals in rows.items():
+            for literal, entry in zip(literals, net.cpt_map[name].row(key), strict=True):
+                assert entry == Polynomial.constant(as_fraction(literal))
+                assert first.setdefault(literal, entry) is entry
+                entries.append(entry)
+    assert len(entries) == 252
+    assert len({id(e) for e in entries}) == len(first) == 88
+
+
+def test_net_from_tables_tells_equal_literals_of_other_types_apart():
+    # 0.1 == Fraction(0.1) and they hash alike, but the float reads as 1/10.
+    net = net_from_tables(
+        [("A", ("a", "b"), ()), ("B", ("x", "y"), ("A",))],
+        {
+            "A": {(): ("0.5", "0.5")},
+            "B": {("a",): (0.1, 0.9), ("b",): (Fraction(0.1), 1 - Fraction(0.1))},
+        },
+    )
+    table = net.cpt_map["B"]
+    assert table.row(("a",))[0].constant_value() == Fraction(1, 10)
+    assert table.row(("b",))[0].constant_value() == Fraction(0.1)
+    assert net.cpt_map["A"].row(())[0] is net.cpt_map["A"].row(())[1]
+
+
+@pytest.fixture
+def table_checks(monkeypatch):
+    """The owners of the tables that ``bn._check_table`` checks, in order."""
+    owners = []
+    check_table = bn._check_table
+
+    def counted(variable, table, by_name):
+        owners.append(table.owner)
+        check_table(variable, table, by_name)
+
+    monkeypatch.setattr(bn, "_check_table", counted)
+    return owners
+
+
+def test_parametrize_checks_only_the_tables_it_rebuilds(table_checks):
+    net = net_from_tables(*layered_tables(6, 6, 1))
+    assert len(table_checks) == 36
+    coords = (("L0_0", (), 0), ("L3_0", ("t", "t"), 0))
+    pbn = parametrize(net, coords, {coords[0]: "x", coords[1]: "y"})
+    assert table_checks[36:] == ["L0_0", "L3_0"]
+    back = instantiate(pbn, pbn.origin_instantiation())
+    assert table_checks[38:] == ["L0_0", "L3_0"]
+    assert back == net and back.variables is net.variables
+
+
+def test_a_checked_table_is_checked_again_under_other_variables(table_checks):
+    a, b = Variable("A", ("a", "b")), Variable("B", ("x", "y"), ("A",))
+    half = (Polynomial.constant(Fraction(1, 2)),) * 2
+    net = BayesNet((a, b), (CPT("A", (((), half),)), CPT("B", ((("a",), half), (("b",), half)))))
+    # A parent that gains a value leaves a row of B's table uncovered.
+    grown = Variable("A", ("a", "b", "c"))
+    third = (Polynomial.constant(Fraction(1, 3)),) * 3
+    with pytest.raises(NotWellFormed, match="table of B does not cover"):
+        BayesNet((grown, b), (CPT("A", (((), third),)), net.cpts[1]))
+    # A variable that gains a value makes each row of its table too short.
+    with pytest.raises(NotWellFormed, match="row .* of B has 2 entries, expected 3"):
+        BayesNet((a, Variable("B", ("x", "y", "z"), ("A",))), net.cpts)
+    # An equal tuple that is another object checks every table again.
+    del table_checks[:]
+    BayesNet(tuple([a, b]), net.cpts)
+    assert table_checks == ["A", "B"]
+    # A list may change between two networks, so it never marks a table.
+    listed = [a, b]
+    BayesNet(listed, net.cpts)
+    listed[1] = Variable("B", ("x", "y", "z"), ("A",))
+    with pytest.raises(NotWellFormed, match="row .* of B has 2 entries, expected 3"):
+        BayesNet(listed, net.cpts)
 
 
 def test_constraint_invariants():

@@ -438,6 +438,16 @@ def test_huge_delta_exponent_is_an_input_error(capsys, covid_files):
     assert "exponent" in payload["error"]
 
 
+def test_delta_with_a_digit_separator_is_an_input_error(capsys, covid_files):
+    net, params = covid_files
+    code, payload = run_cli(
+        capsys, "verify", net, "-p", params, "--delta", "0.0_1", "-c", COVID_CONSTRAINT_TEXT
+    )
+    assert code == 1
+    assert payload["status"] == "error"
+    assert "'0.0_1'" in payload["error"]
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "infer" in capsys.readouterr().out

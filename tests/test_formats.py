@@ -203,6 +203,19 @@ def test_parse_network_rejects_a_huge_exponent():
     assert (excinfo.value.line, excinfo.value.column) == (2, 13)
 
 
+def test_parse_network_reports_a_bad_number_where_it_first_appears():
+    text = (
+        "var A { values: a, b; }\n"
+        "var B { values: a, b; parents: A; }\n"
+        "cpt A { (): 0.5, 0.5; }\n"
+        "cpt B { (a): 0.5, 0.5;\n"
+        "        (b): 1e99999, 1e99999; }"
+    )
+    with pytest.raises(ParseError, match="exponent") as excinfo:
+        parse_network(text)
+    assert (excinfo.value.line, excinfo.value.column) == (5, 14)
+
+
 def test_parse_network_rejects_stray_keyword():
     with pytest.raises(ParseError, match="'var' or 'cpt'"):
         parse_network("table A { }")

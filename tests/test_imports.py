@@ -134,6 +134,8 @@ PRIVATE_IMPORTS = {
     "at each box corner by the point solver's own rule",
     ("pmc", "poly", "_binary_fraction"): "reach_prob reads a float instantiation "
     "at its exact binary value",
+    ("pmc", "poly", "_exact_point"): "the closed form reads its point as "
+    "Polynomial.evaluate does, floats at their exact binary value",
     ("tune", "poly", "_binary_fraction"): "box bounds computed in floats are kept "
     "at their exact binary value",
 }

@@ -29,7 +29,7 @@ from bntune import (
 from bntune.errors import BadOrder, EvidenceImpossible, NotWellFormed, TooLarge
 from bntune.lifting import substitute
 from bntune.oracle import infer, joint_table
-from bntune.pmc import PMC, LeveledSolver, ReachSpec, StateLabel
+from bntune.pmc import PMC, LeveledSolver, ReachSpec, SensitivityFunction, StateLabel
 from conftest import (
     build_covid_pbn,
     build_layered_6x6,
@@ -300,6 +300,24 @@ def test_sensitivity_function_evaluates_like_the_chain(tailored):
         assert fn.evaluate(u) == pytest.approx(
             covid_posterior(u["p"], u["q"]), abs=1e-9
         )
+
+
+def test_sensitivity_function_rounds_the_exact_ratio_once(tailored):
+    pmc, spec = tailored
+    fn = sensitivity_function(pmc, spec.targets)
+    rng = random.Random(0)
+    for _ in range(400):
+        u = {"p": rng.random(), "q": rng.random()}
+        exact = {name: Fraction(value) for name, value in u.items()}
+        ratio = fn.numerator.evaluate(exact) / fn.denominator.evaluate(exact)
+        assert fn.evaluate(u) == float(ratio)
+        assert fn.evaluate(exact) == ratio
+    half = SensitivityFunction(ONE, P * 2 - 1)
+    assert half.evaluate({"p": Fraction(3, 4)}) == 2
+    with pytest.raises(ZeroDivisionError):
+        half.evaluate({"p": 0.5})
+    with pytest.raises(ZeroDivisionError):
+        half.evaluate({"p": Fraction(1, 2)})
 
 
 def test_sensitivity_function_parameter_free():

@@ -254,10 +254,18 @@ def test_as_fraction_decimal_strings_and_floats():
 def test_as_fraction_bounds_the_decimal_exponent():
     assert as_fraction("1e10000") == 10**10000
     assert as_fraction("1e-10000") == Fraction(1, 10**10000)
-    assert as_fraction("2.5E+0_0010") == 25 * 10**9
-    for text in ("1e-3000000", "1E10001", "1e-1_0001", " 5e99999999999999999999 "):
+    assert as_fraction("2.5E+00010") == 25 * 10**9
+    for text in ("1e-3000000", "1E10001", "1e-010001", " 5e99999999999999999999 "):
         with pytest.raises(ValueError, match="exponent"):
             as_fraction(text)
+
+
+@pytest.mark.parametrize("text", ["0.1_5", "1_0", "2.5E+0_0010", "1e-1_0001", "1/1_0", "0.0_1"])
+def test_as_fraction_rejects_digit_separators(text):
+    # Fraction("1_0") is 10 on Python 3.11 but raises on 3.10: refusing "_"
+    # makes every supported Python read the same strings.
+    with pytest.raises(ValueError, match="invalid literal"):
+        as_fraction(text)
 
 
 def test_binary_fraction_keeps_float_bits():
