@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedMultiEntryRow,
     ZeroEntry,
 )
-from .poly import Polynomial, Region, as_fraction
+from .poly import Polynomial, Region, _binary_fraction, as_fraction
 
 #: Identifies one table entry: (variable, parent values in parent order, value index).
 EntryCoord = tuple[str, tuple[str, ...], int]
@@ -295,6 +295,18 @@ class BayesNet(ParamBN):
         super().__post_init__()
 
 
+def _check_comparison(spec) -> None:
+    """The comparison rule's checks, one for :class:`Constraint` and
+    :class:`pmc.ReachSpec` alike (frozen, with ``direction`` and
+    ``threshold`` fields): the direction is ``<=`` or ``>=``, and the
+    threshold, stored as :func:`as_fraction` reads it, lies in [0, 1]."""
+    if spec.direction not in ("<=", ">="):
+        raise NotWellFormed(f"direction must be '<=' or '>=', got {spec.direction!r}")
+    object.__setattr__(spec, "threshold", as_fraction(spec.threshold))
+    if not (0 <= spec.threshold <= 1):
+        raise NotWellFormed(f"threshold {spec.threshold} is outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class Constraint:
     """``Pr(hypothesis | evidence) <= threshold`` (or ``>=``).
@@ -310,8 +322,7 @@ class Constraint:
     threshold: Fraction
 
     def __post_init__(self):
-        if self.direction not in ("<=", ">="):
-            raise NotWellFormed(f"direction must be '<=' or '>=', got {self.direction!r}")
+        _check_comparison(self)
         if not self.hypothesis:
             raise NotWellFormed("the hypothesis needs at least one literal")
         hyp_vars = [v for v, _ in self.hypothesis]
@@ -320,9 +331,6 @@ class Constraint:
             raise NotWellFormed("a variable may appear at most once per literal list")
         if set(hyp_vars) & set(ev_vars):
             raise NotWellFormed("hypothesis and evidence must mention disjoint variables")
-        object.__setattr__(self, "threshold", as_fraction(self.threshold))
-        if not (0 <= self.threshold <= 1):
-            raise NotWellFormed(f"threshold {self.threshold} is outside [0, 1]")
 
     def check_against(self, net: ParamBN) -> None:
         for var, value in self.hypothesis + self.evidence:
@@ -503,7 +511,7 @@ def instantiate(pbn: ParamBN, u: Instantiation) -> BayesNet:
         raise UnboundParameter(f"instantiation is missing parameter(s) {sorted(missing)}")
     if extra:
         raise UnboundParameter(f"instantiation has unknown parameter(s) {sorted(extra)}")
-    exact_u = {name: Fraction(value) if isinstance(value, float) else as_fraction(value) for name, value in u.items()}
+    exact_u = {name: _binary_fraction(value) for name, value in u.items()}
 
     new_cpts = []
     for table in pbn.cpts:

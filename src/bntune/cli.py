@@ -244,8 +244,7 @@ def _cmd_tune(args) -> tuple[dict, int]:
     net = _load_net(args)
     pbn = _require(_load_pbn(args, net), "-p/--params")
     constraint = _require(_load_constraint(args, pbn), "-c/--constraint")
-    hyper = Hyper(eta=as_fraction(args.eta))
-    result = tune(pbn, constraint, measure=args.distance, hyper=hyper, order=_order(args))
+    result = tune(pbn, constraint, measure=args.distance, hyper=Hyper(eta=args.eta), order=_order(args))
     return _tune_payload(result), _EXIT_BY_STATUS[result.status]
 
 

@@ -19,13 +19,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .bn import Constraint, Instantiation, ParamBN, topological_order
+from .bn import Constraint, Instantiation, ParamBN, _check_comparison, topological_order
 from .errors import (
     EvidenceImpossible,
     NotWellFormed,
     TooLarge,
 )
-from .poly import ONE, ZERO, Polynomial, _binary_fraction, _exact_point, as_fraction
+from .poly import ONE, ZERO, Polynomial, _binary_fraction, _exact_point
 
 #: State-space guard for exact symbolic elimination.
 ELIMINATION_GUARD = 10**4
@@ -143,7 +143,8 @@ class PMC:
 @dataclass(frozen=True)
 class ReachSpec:
     """A reachability constraint: compare Pr(reach targets) against a threshold,
-    stored as :func:`as_fraction` reads it (as in :class:`Constraint`)."""
+    by the comparison rule of :class:`Constraint`, whose checks and
+    ``satisfied_by`` it shares."""
 
     targets: frozenset[int]
     direction: str
@@ -152,16 +153,9 @@ class ReachSpec:
     def __post_init__(self):
         if not self.targets:
             raise NotWellFormed("a reachability constraint needs at least one target state")
-        if self.direction not in ("<=", ">="):
-            raise NotWellFormed(f"direction must be '<=' or '>=', got {self.direction!r}")
-        object.__setattr__(self, "threshold", as_fraction(self.threshold))
-        if not (0 <= self.threshold <= 1):
-            raise NotWellFormed(f"threshold {self.threshold} is outside [0, 1]")
+        _check_comparison(self)
 
-    def satisfied_by(self, probability: float | Fraction) -> bool:
-        if self.direction == "<=":
-            return probability <= self.threshold
-        return probability >= self.threshold
+    satisfied_by = Constraint.satisfied_by
 
 
 def _narrow_order(
@@ -220,114 +214,102 @@ def _narrow_order(
     return tuple(order), carried
 
 
-class _Builder:
-    """Shared machinery for plain and evidence-tailored compilation.
+def _build(
+    net: ParamBN, order: Sequence[str] | None, constraint: Constraint | None
+) -> tuple[PMC, list[int]]:
+    """The chain of a plain or evidence-tailored compilation, and its leaves,
+    the states of the last level.
 
     A tailored build expands only the ancestral set of the hypothesis and
-    evidence variables.  :func:`_narrow_order` follows a given order, or picks
-    one, and yields each level's carried set: the variables whose values the
-    level's states label.  :meth:`build` interns each level's states by plain
-    tuple keys.
+    evidence variables.  :func:`_narrow_order` follows a given order, or
+    picks one, and yields each level's carried set: the variables whose
+    values the level's states label.  A state of a level is named by a
+    plain tuple key: the values of the level's carried set, in its order,
+    then the hypothesis flag.  A source's row and its targets' keys are
+    read off the source's key by one picker each (:func:`_picker`) of
+    positions computed once per level, and a :class:`StateLabel` is built
+    only for a new state.  The next level is numbered in the order its
+    states are first reached, and each state's edges are sorted by target.
+
+    A tailored build raises :class:`EvidenceImpossible` when no leaf is
+    reachable along edges that are positive at the recorded original
+    values (any built edge, when there are none): every path restarts.
     """
-
-    def __init__(self, net: ParamBN, order, constraint: Constraint | None):
-        self.cpt_map, self.variable_map, self.params = net.cpt_map, net.variable_map, net.params
-        self.constraint = constraint
-        self.evidence = dict(constraint.evidence) if constraint else {}
-        self.hypothesis = dict(constraint.hypothesis) if constraint else {}
-        if constraint is None:
-            expanded = set(self.variable_map)
-        else:
-            expanded = set()
-            stack = [*self.hypothesis, *self.evidence]
-            while stack:
-                name = stack.pop()
-                if name not in expanded:
-                    expanded.add(name)
-                    stack.extend(self.variable_map[name].parents)
-        self.order, self.carried = _narrow_order(net, expanded, order)
-        self.point = None if net.origin is None else dict(net.origin)
-
-    def build(self) -> tuple[PMC, list[int]]:
-        """The chain and its leaves, the states of the last level.
-
-        A state of a level is named by a plain tuple key: the values of the
-        level's carried set, in its order, then the hypothesis flag.  A
-        source's row and its targets' keys are read off the source's key by
-        one picker each (:func:`_picker`) of positions computed once per
-        level, and a :class:`StateLabel` is built only for a new state.  The
-        next level is numbered in the order its states are first reached,
-        and each state's edges are sorted by target.
-
-        A tailored build raises :class:`EvidenceImpossible` when no leaf is
-        reachable along edges that are positive at the recorded original
-        values (any built edge, when there are none): every path restarts.
-        """
-        tailored = self.constraint is not None
-        initial, hypothesis = 0, True if tailored else None
-        states = [StateLabel(0, (), hypothesis)]
-        edges: list[list[tuple[int, Polynomial]]] = [[]]
-        frontier = [(initial, (hypothesis,))]
-        # Forward edges never merge, as the just-expanded variable stays in
-        # the key, so each keeps its table entry itself (edges share entry
-        # objects) and each entry is tested on its own.  The test is memoized
-        # by id: hashing a Polynomial costs more than it saves.  Only the
-        # restart edges of one source are summed.
-        reached = {initial}
-        positive: dict[int, bool] = {}
-        previous: tuple[str, ...] = ()
-        for level, (var_name, keep) in enumerate(zip(self.order, self.carried)):
-            variable = self.variable_map[var_name]
-            table = self.cpt_map[var_name]
-            ev_value = self.evidence.get(var_name)
-            hyp_value = self.hypothesis.get(var_name)
-            at = {name: i for i, name in enumerate(previous)}
-            parents_of = _picker([at[p] for p in variable.parents])
-            kept_of = _picker([at[w] for w in keep[:-1]])
-            ids: dict[tuple, int] = {}
-            next_frontier: list[tuple[int, tuple]] = []
-            for source, key in frontier:
-                row = table.row(parents_of(key))
-                values = kept_of(key)
-                hyp = key[-1]
-                live = tailored and source in reached
-                out = edges[source]
-                restart = None
-                for value, entry in zip(variable.values, row):
-                    if entry.is_zero():
-                        continue
-                    if ev_value is not None and value != ev_value:
-                        restart = entry if restart is None else restart + entry
-                        continue
-                    holds = hyp if hyp_value is None else hyp and value == hyp_value
-                    target_key = (*values, value, holds)
-                    target = ids.get(target_key)
-                    if target is None:
-                        target = ids[target_key] = len(states)
-                        states.append(StateLabel(level + 1, tuple(zip(keep, target_key)), holds))
-                        edges.append([])
-                        next_frontier.append((target, target_key))
-                    out.append((target, entry))
-                    if live and target not in reached:
-                        entry_id = id(entry)
-                        if entry_id not in positive:
-                            positive[entry_id] = (
-                                self.point is None or entry.evaluate_rounded(self.point) > 0.0
-                            )
-                        if positive[entry_id]:
-                            reached.add(target)
-                if restart is not None:
-                    out.append((initial, restart))
-            frontier = next_frontier
-            previous = keep
-        leaves = [s for s, _ in frontier]
-        if tailored and reached.isdisjoint(leaves):
-            raise EvidenceImpossible("the evidence has probability zero; every path restarts")
-        for leaf in leaves:
-            edges[leaf].append((leaf, ONE))
-        # A state's targets are distinct, so sorting never compares weights.
-        packed = tuple(tuple(sorted(out)) for out in edges)
-        return PMC(tuple(states), initial, packed, self.params), leaves
+    variable_map = net.variable_map
+    tailored = constraint is not None
+    evidence = dict(constraint.evidence) if tailored else {}
+    hypothesis = dict(constraint.hypothesis) if tailored else {}
+    expanded = set() if tailored else set(variable_map)
+    stack = [*hypothesis, *evidence]  # a tailored build's ancestral set
+    while stack:
+        name = stack.pop()
+        if name not in expanded:
+            expanded.add(name)
+            stack.extend(variable_map[name].parents)
+    order, carried = _narrow_order(net, expanded, order)
+    point = None if net.origin is None else dict(net.origin)
+    initial, holds = 0, True if tailored else None
+    states = [StateLabel(0, (), holds)]
+    edges: list[list[tuple[int, Polynomial]]] = [[]]
+    frontier = [(initial, (holds,))]
+    # Forward edges never merge, as the just-expanded variable stays in
+    # the key, so each keeps its table entry itself (edges share entry
+    # objects) and each entry is tested on its own.  The test is memoized
+    # by id: hashing a Polynomial costs more than it saves.  Only the
+    # restart edges of one source are summed.
+    reached = {initial}
+    positive: dict[int, bool] = {}
+    previous: tuple[str, ...] = ()
+    for level, (var_name, keep) in enumerate(zip(order, carried)):
+        variable = variable_map[var_name]
+        table = net.cpt_map[var_name]
+        ev_value = evidence.get(var_name)
+        hyp_value = hypothesis.get(var_name)
+        at = {name: i for i, name in enumerate(previous)}
+        parents_of = _picker([at[p] for p in variable.parents])
+        kept_of = _picker([at[w] for w in keep[:-1]])
+        ids: dict[tuple, int] = {}
+        next_frontier: list[tuple[int, tuple]] = []
+        for source, key in frontier:
+            row = table.row(parents_of(key))
+            values = kept_of(key)
+            hyp = key[-1]
+            live = tailored and source in reached
+            out = edges[source]
+            restart = None
+            for value, entry in zip(variable.values, row):
+                if entry.is_zero():
+                    continue
+                if ev_value is not None and value != ev_value:
+                    restart = entry if restart is None else restart + entry
+                    continue
+                holds = hyp if hyp_value is None else hyp and value == hyp_value
+                target_key = (*values, value, holds)
+                target = ids.get(target_key)
+                if target is None:
+                    target = ids[target_key] = len(states)
+                    states.append(StateLabel(level + 1, tuple(zip(keep, target_key)), holds))
+                    edges.append([])
+                    next_frontier.append((target, target_key))
+                out.append((target, entry))
+                if live and target not in reached:
+                    entry_id = id(entry)
+                    if entry_id not in positive:
+                        positive[entry_id] = point is None or entry.evaluate_rounded(point) > 0.0
+                    if positive[entry_id]:
+                        reached.add(target)
+            if restart is not None:
+                out.append((initial, restart))
+        frontier = next_frontier
+        previous = keep
+    leaves = [s for s, _ in frontier]
+    if tailored and reached.isdisjoint(leaves):
+        raise EvidenceImpossible("the evidence has probability zero; every path restarts")
+    for leaf in leaves:
+        edges[leaf].append((leaf, ONE))
+    # A state's targets are distinct, so sorting never compares weights.
+    packed = tuple(tuple(sorted(out)) for out in edges)
+    return PMC(tuple(states), initial, packed, net.params), leaves
 
 
 def _picker(positions: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -348,7 +330,7 @@ def compile_chain(net: ParamBN, order: Sequence[str] | None = None) -> PMC:
     expanded next (ties in declaration order).  A state labels an expanded
     variable only while a later table still needs its value.
     """
-    return _Builder(net, order, None).build()[0]
+    return _build(net, order, None)[0]
 
 
 def compile_tailored(
@@ -374,7 +356,7 @@ def compile_tailored(
     nonzero entries; else :class:`EvidenceImpossible` is raised.
     """
     constraint.check_against(net)
-    chain, leaves = _Builder(net, order, constraint).build()
+    chain, leaves = _build(net, order, constraint)
     targets = frozenset(s for s in leaves if chain.states[s].hypothesis)
     if not targets:
         raise NotWellFormed("no leaf satisfies the hypothesis; its probability is identically 0")

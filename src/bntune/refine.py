@@ -45,6 +45,19 @@ class PartitionResult:
         return len(self.accepting), len(self.rejecting), len(self.unknown)
 
 
+def _check_limits(eta: float | Fraction | str, guard: int) -> Fraction:
+    """The search limits' rule, one for :func:`partition` and
+    :class:`tune.Hyper`: ``eta``, read by :func:`as_fraction` and returned,
+    lies in [0, 1], and ``guard`` allows at least one verification.  Raises
+    :class:`ValueError` otherwise."""
+    eta = as_fraction(eta)
+    if not 0 <= eta <= 1:
+        raise ValueError(f"eta must be within [0, 1], got {eta}")
+    if guard < 1:
+        raise ValueError(f"guard must allow at least one verification, got {guard}")
+    return eta
+
+
 def partition(
     pmc: PMC,
     spec: ReachSpec,
@@ -82,11 +95,7 @@ def partition(
     ``guard`` verifications were spent or only unsplittable inconclusive
     boxes remain.
     """
-    eta = as_fraction(eta)
-    if not 0 <= eta <= 1:
-        raise ValueError(f"eta must be within [0, 1], got {eta}")
-    if guard < 1:
-        raise ValueError(f"guard must allow at least one verification, got {guard}")
+    eta = _check_limits(eta, guard)
     if verifier is None:
         verifier = RegionVerifier(pmc, spec)
     on_edges = {name for _, local in pmc.lowered.parametric for name in local}

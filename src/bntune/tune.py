@@ -20,7 +20,7 @@ from .bn import Constraint, Instantiation, ParamBN
 from .errors import CoverageUnreachable, EmptyInput, NotWellFormed, UnsupportedForCD
 from .pmc import compile_tailored, reach_prob
 from .poly import Region, _binary_fraction
-from .refine import BOX_GUARD, DEFAULT_ETA, partition
+from .refine import BOX_GUARD, DEFAULT_ETA, _check_limits, partition
 
 #: The schedule: ``_STEPS`` radii, each ``1 / _GAMMA`` times the one before,
 #: the last being ``d0``.
@@ -45,19 +45,18 @@ class Hyper:
     """Search hyper-parameters.
 
     ``eta`` is the coverage factor each partitioning must reach (the share of
-    a candidate box that must be conclusively classified); ``guard`` caps the
-    number of box verifications each partitioning may spend.  The schedule
-    of candidate radii is fixed (see :func:`tune`).
+    a candidate box that must be conclusively classified), stored as
+    :func:`partition` reads it (:func:`as_fraction`); ``guard`` caps the
+    number of box verifications each partitioning may spend.  Both are
+    checked by :func:`partition`'s rule.  The schedule of candidate radii
+    is fixed (see :func:`tune`).
     """
 
     eta: Fraction = DEFAULT_ETA
     guard: int = BOX_GUARD
 
     def __post_init__(self):
-        if not 0 <= self.eta <= 1:
-            raise ValueError(f"eta must be within [0, 1], got {self.eta}")
-        if self.guard < 1:
-            raise ValueError("guard must allow at least one verification")
+        object.__setattr__(self, "eta", _check_limits(self.eta, self.guard))
 
 
 @dataclass(frozen=True)

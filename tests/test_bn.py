@@ -13,6 +13,7 @@ from bntune import (
     Constraint,
     Polynomial,
     Region,
+    ReachSpec,
     RegionVerifier,
     Verdict,
     as_fraction,
@@ -527,6 +528,40 @@ def test_constraint_invariants():
         Constraint((), (("A", "a"),), "<=", Fraction(1, 2))
     with pytest.raises(NotWellFormed):
         Constraint((("A", "a"),), (), "<", Fraction(1, 2))
+
+
+#: The message of an empty hypothesis or target set, the one fault whose
+#: message names the class's own field.
+EMPTY_MESSAGE = {
+    Constraint: "the hypothesis needs at least one literal",
+    ReachSpec: "a reachability constraint needs at least one target state",
+}
+
+
+@pytest.mark.parametrize("cls", [Constraint, ReachSpec], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize(
+    "empty, direction, threshold, message",
+    [
+        (True, "<=", Fraction(1, 2), None),
+        (False, "<", Fraction(1, 2), "direction must be '<=' or '>=', got '<'"),
+        (False, "<=", Fraction(3, 2), "threshold 3/2 is outside [0, 1]"),
+        (False, ">=", Fraction(-1, 10), "threshold -1/10 is outside [0, 1]"),
+    ],
+    ids=["empty", "direction", "above-one", "below-zero"],
+)
+def test_constraint_and_reach_spec_reject_each_fault_alike(cls, empty, direction, threshold, message):
+    # One comparison rule: each input with one fault raises the same error
+    # from a Constraint and from a ReachSpec.
+    with pytest.raises(NotWellFormed) as raised:
+        if cls is Constraint:
+            Constraint(() if empty else (("A", "a"),), (), direction, threshold)
+        else:
+            ReachSpec(frozenset() if empty else frozenset({1}), direction, threshold)
+    assert str(raised.value) == (message or EMPTY_MESSAGE[cls])
+
+
+def test_reach_spec_reads_a_float_threshold_as_its_decimal():
+    assert ReachSpec(frozenset({1}), "<=", 0.1).threshold == Fraction(1, 10)
 
 
 def test_constraint_check_against(covid_net):

@@ -13,14 +13,16 @@ method or property of a package class is read as an attribute somewhere in
 A package module imports another module's private name (``_x``) only
 where ``PRIVATE_IMPORTS`` names that import and says why.
 Importing the package must not load numpy, which only
-``oracle.grid_min_distance`` needs; that function's numpy import is the one
-import of the package made inside a function.  Only ``oracle`` calls
+``oracle.grid_min_distance`` needs (that function's numpy import is the one
+import of the package made inside a function), and ``bntune tune`` runs
+with numpy blocked.  Only ``oracle`` calls
 ``Polynomial.evaluate_numeric``, the float Horner loop of its numpy grid.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -130,14 +132,20 @@ def test_the_check_finds_an_import_inside_a_function():
 #: (importing module, imported module, private name) of each allowed private
 #: import, with the reason it is shared rather than made public.
 PRIVATE_IMPORTS = {
+    ("bn", "poly", "_binary_fraction"): "instantiate reads a float instantiation "
+    "at its exact binary value",
     ("lifting", "pmc", "_distribution"): "the relaxation checks a state's weights "
     "at each box corner by the point solver's own rule",
+    ("pmc", "bn", "_check_comparison"): "ReachSpec checks its direction and "
+    "threshold by Constraint's own comparison rule",
     ("pmc", "poly", "_binary_fraction"): "reach_prob reads a float instantiation "
     "at its exact binary value",
     ("pmc", "poly", "_exact_point"): "the closed form reads its point as "
     "Polynomial.evaluate does, floats at their exact binary value",
     ("tune", "poly", "_binary_fraction"): "box bounds computed in floats are kept "
     "at their exact binary value",
+    ("tune", "refine", "_check_limits"): "Hyper checks and reads eta and guard "
+    "by partition's own rule",
 }
 
 
@@ -371,14 +379,27 @@ def test_the_check_finds_an_attribute_reader():
     assert attribute_readers(sources, "evaluate_numeric") == ["a", "c"]
 
 
-def test_importing_the_package_does_not_load_numpy():
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process that imports the package from ``src``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, bntune; print('numpy' in sys.modules)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    assert loaded.strip() == "False"
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_importing_the_package_does_not_load_numpy():
+    loaded = _run_python("-c", "import sys, bntune; print('numpy' in sys.modules)")
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.strip() == "False"
+
+
+def test_tune_runs_without_numpy():
+    # numpy is an optional extra (the oracle's grid): with it blocked, the
+    # command line still tunes the demo network.
+    files = ROOT / "demos" / "files"
+    script = "import sys; sys.modules['numpy'] = None; from bntune.cli import main; sys.exit(main())"
+    done = _run_python(
+        "-c", script, "tune", str(files / "diagnostic.net"), "-p", str(files / "diagnostic.params"),
+        "-c", "P(COVID-19=no | Antigen=pos & PCR=pos) <= 0.009",
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["status"] == "tuned"

@@ -12,6 +12,7 @@ from bntune.bn import Constraint, parametrize
 from bntune.errors import EmptyInput, UnsupportedForCD
 from bntune.formats import parse_param_spec
 from bntune.oracle import cd_exact, infer
+from bntune.pmc import compile_tailored
 from bntune.bn import instantiate
 from bntune.poly import Region, as_fraction
 from bntune.tune import (
@@ -548,6 +549,33 @@ def test_tune_rejects_unknown_measure(toy_pbn):
 def test_hyper_validation(kwargs):
     with pytest.raises(ValueError):
         Hyper(**kwargs)
+
+
+def test_hyper_reads_eta_as_partition_does():
+    # Stored as as_fraction reads it: a string or a float means its decimal.
+    assert Hyper(eta="0.9").eta == Fraction(9, 10)
+    eta = Hyper(eta=0.1).eta
+    assert type(eta) is Fraction and eta == Fraction(1, 10)
+
+
+@pytest.mark.parametrize(
+    "eta, guard, message",
+    [
+        ("1.5", 1, "eta must be within [0, 1], got 3/2"),
+        (-0.1, 1, "eta must be within [0, 1], got -1/10"),
+        (Fraction(1, 2), 0, "guard must allow at least one verification, got 0"),
+    ],
+    ids=["eta-string", "eta-float", "guard"],
+)
+def test_hyper_and_partition_check_the_limits_alike(covid_pbn, covid_constraint, eta, guard, message):
+    chain, spec = compile_tailored(covid_pbn, covid_constraint)
+    for check in (
+        lambda: Hyper(eta, guard),
+        lambda: refine.partition(chain, spec, covid_pbn.space(), eta, guard=guard),
+    ):
+        with pytest.raises(ValueError) as raised:
+            check()
+        assert str(raised.value) == message
 
 
 def test_tune_iteration_stats_shape(covid_pbn, covid_constraint):
