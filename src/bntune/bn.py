@@ -404,8 +404,9 @@ def parametrize(
     in several rows.
 
     Raises :class:`ZeroEntry` for entries at 0 or 1 and for rows whose other
-    entries sum to 0, and :class:`UnsupportedMultiEntryRow` when two selected
-    entries share a row.
+    entries sum to 0, :class:`UnsupportedMultiEntryRow` when two selected
+    entries share a row, and :class:`NotWellFormed` for an ``intervals`` key
+    that names no selected parameter.
     """
     modif = list(modif)
     if names is None:
@@ -479,6 +480,9 @@ def parametrize(
             new_rows.append((key, new_row))
         new_cpts.append(CPT(v.name, tuple(new_rows)) if v.name in touched else table)
 
+    stray = sorted(set(intervals or ()) - set(param_order))
+    if stray:
+        raise NotWellFormed(f"intervals given for {stray}, which name no selected parameter")
     param_intervals: list[tuple[str, tuple[Fraction, Fraction]]] = []
     for name in param_order:
         if intervals and name in intervals:

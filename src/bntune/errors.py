@@ -57,7 +57,8 @@ class CoverageUnreachable(Error):
 
 
 class UnsupportedForCD(Error):
-    """The Chan-Darwiche log-ratio distance (``distance_cd``) needs all parameters in one table."""
+    """The Chan-Darwiche log-ratio distance needs all parameters in one table
+    (``distance_cd``) and two networks over the same variables and values (``cd_exact``)."""
 
 
 class EmptyInput(Error):

@@ -221,6 +221,14 @@ def test_declared_intervals_default_and_explicit(covid_net):
     assert space.interval("p") == (Fraction(1, 2), Fraction(9, 10))
 
 
+def test_intervals_must_name_a_selected_parameter(covid_net):
+    # A misspelt key was once dropped, leaving p at the default [delta, 1 - delta].
+    with pytest.raises(NotWellFormed, match="typo"):
+        parametrize(covid_net, [CP], {CP: "p"}, intervals={"typo": (0.1, 0.2)})
+    with pytest.raises(NotWellFormed, match="q"):
+        parametrize(covid_net, [CP], {CP: "p"}, intervals={"p": (0.1, 0.2), "q": (0.1, 0.2)})
+
+
 def test_instantiate_rejects_out_of_range_entries(toy_pbn):
     # The row rule of the evaluated table rejects the entry x = 3/2.
     with pytest.raises(NotWellFormed, match=r"entry 3/2 in table of T is outside \[0, 1\]"):

@@ -16,7 +16,9 @@ Importing the package must not load numpy, which only
 ``oracle.grid_min_distance`` needs (that function's numpy import is the one
 import of the package made inside a function), and ``bntune tune`` runs
 with numpy blocked.  Only ``oracle`` calls
-``Polynomial.evaluate_numeric``, the float Horner loop of its numpy grid.
+``Polynomial.evaluate_numeric``, the float Horner loop of its numpy grid,
+and ``oracle`` imports nothing from the chain-based implementation
+(``CHAIN_MODULES``) that its references cross-check.
 """
 
 from __future__ import annotations
@@ -127,6 +129,41 @@ def test_the_check_finds_an_import_inside_a_function():
         "        return UnknownValue",
     ])
     assert local_imports({"m": source}) == [("m", "f", "numpy"), ("m", "g", ".errors")]
+
+
+#: The chain-based implementation, which the oracle's brute-force references
+#: cross-check and so must share no code with.
+CHAIN_MODULES = {"pmc", "lifting", "refine", "tune"}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Each module that ``source`` imports, one of the package by its bare name
+    (``pmc`` for ``from .pmc import x``, ``from . import pmc`` or ``import bntune.pmc``)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            found.update([a.name for a in node.names] if module in (".", "bntune") else [module])
+    return {name.lstrip(".").removeprefix("bntune.").split(".")[0] for name in found}
+
+
+def test_the_oracle_shares_no_code_with_the_chain_implementation():
+    assert imported_modules((SRC / "oracle.py").read_text()) & CHAIN_MODULES == set()
+
+
+def test_the_check_finds_a_package_import():
+    source = "\n".join([
+        "import math",
+        "from .bn import BayesNet",
+        "from . import pmc, errors",
+        "from bntune.tune import tune",
+        "from bntune import refine",
+        "import bntune.lifting",
+    ])
+    assert imported_modules(source) & CHAIN_MODULES == CHAIN_MODULES
+    assert imported_modules(source) - CHAIN_MODULES == {"math", "bn", "errors"}
 
 
 #: (importing module, imported module, private name) of each allowed private

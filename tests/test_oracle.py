@@ -108,8 +108,13 @@ def test_cd_exact_one_sided_zero_is_infinite():
 def test_cd_exact_requires_matching_variables():
     net_a = single_node()
     net_b = net_from_tables([("w", ("yes", "no"), ())], {"w": {(): ("0.3", "0.7")}})
-    with pytest.raises(UnsupportedForCD):
-        cd_exact(net_a, net_b)
+    # The same variable with its labels in another order (an equal distribution),
+    # or with a third value that only one network has, is not the same structure.
+    swapped = net_from_tables([("v", ("no", "yes"), ())], {"v": {(): ("0.7", "0.3")}})
+    wider = net_from_tables([("v", ("yes", "no", "maybe"), ())], {"v": {(): ("0.3", "0.6", "0.1")}})
+    for first, second in ((net_a, net_b), (net_a, swapped), (net_a, wider), (wider, net_a)):
+        with pytest.raises(UnsupportedForCD):
+            cd_exact(first, second)
 
 
 def toy_prior_pbn(p="0.6"):
@@ -135,6 +140,13 @@ def test_grid_reports_unsatisfiable():
     pbn = toy_prior_pbn()
     point, dist = grid_min_distance(pbn, Constraint((("T", "yes"),), (), "<=", Fraction(0)))
     assert point is None and dist == math.inf
+
+
+def test_grid_rejects_an_unknown_measure_first():
+    pbn = toy_prior_pbn()
+    for threshold in (Fraction(7, 10), Fraction(1, 2)):  # the origin satisfies the first
+        with pytest.raises(ValueError, match="bogus"):
+            grid_min_distance(pbn, Constraint((("T", "yes"),), (), "<=", threshold), "bogus")
 
 
 def test_grid_screening_network(covid_pbn, covid_constraint):
