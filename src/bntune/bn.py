@@ -238,6 +238,11 @@ class ParamBN:
     params: tuple[tuple[str, tuple[Fraction, Fraction]], ...] = ()
     origin: tuple[tuple[str, Fraction], ...] | None = None
 
+    #: The most recent tailored compilation of this network, or None:
+    #: :func:`pmc.compile_tailored` keeps its query's key, chain and target
+    #: set here.  Not a field, so equality, hashing and ``repr`` ignore it.
+    _tailored = None
+
     def __post_init__(self):
         _check_tables(self.variables, self.cpts)
         names = [name for name, _ in self.params]

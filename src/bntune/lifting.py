@@ -164,6 +164,8 @@ class RegionVerifier:
         self.spec = spec
         self.pmc = relax(pmc)
         self.solver = pmc.solver(spec.targets)
+        threshold = float(spec.threshold)
+        self._below, self._above = threshold - MARGIN, threshold + MARGIN
 
     def _padded(self, value: float, maximize: bool) -> float:
         """``value`` widened outwards by the solver's rounding bound."""
@@ -191,8 +193,7 @@ class RegionVerifier:
     def verify(self, region: Region) -> Verdict:
         """Classify the box, deciding only the sides that the verdict needs."""
         actions = substitute(self.pmc, region).actions
-        threshold = float(self.spec.threshold)
-        below, above = threshold - MARGIN, threshold + MARGIN
+        below, above = self._below, self._above
         if self.spec.direction == "<=":
             if self._greedy(actions, below, True) <= below:
                 return Verdict.ACCEPTING

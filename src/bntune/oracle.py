@@ -14,7 +14,7 @@ import math
 from typing import Callable, Iterator, Sequence
 
 from .bn import BayesNet, Constraint, ParamBN, instantiate
-from .errors import EvidenceImpossible, TooLarge, UnsupportedForCD
+from .errors import EvidenceImpossible, TooLarge, UnknownValue, UnsupportedForCD
 
 #: Joint state spaces above this size are refused rather than sampled.
 ENUMERATION_GUARD = 2**22
@@ -50,17 +50,28 @@ def _joint(
 
 
 def _holds(net: BayesNet, literals: Literals) -> Callable[[tuple[int, ...]], bool]:
-    """Whether a joint assignment of ``net`` meets every literal."""
+    """Whether a joint assignment of ``net`` meets every literal.
+
+    Raises :class:`UnknownValue` for a literal that names no variable of
+    ``net``, and :class:`NotWellFormed` for one that names no value of its
+    variable.
+    """
     positions = {v.name: i for i, v in enumerate(net.variables)}
-    wanted = [(positions[var], net.variable_map[var].value_index(value)) for var, value in literals]
+    wanted = []
+    for var, value in literals:
+        if var not in positions:
+            raise UnknownValue(f"unknown variable {var!r}")
+        wanted.append((positions[var], net.variable_map[var].value_index(value)))
     return lambda w: all(w[pos] == k for pos, k in wanted)
 
 
 def infer(bn: BayesNet, hypothesis: Literals, evidence: Literals = ()) -> float:
     """``Pr(hypothesis | evidence)`` by full joint enumeration.
 
-    Raises :class:`EvidenceImpossible` if the evidence has probability zero and
-    :class:`TooLarge` if the joint space exceeds the enumeration guard.
+    Raises :class:`EvidenceImpossible` if the evidence has probability zero,
+    :class:`TooLarge` if the joint space exceeds the enumeration guard, and,
+    for a literal that names no variable or no value of the network,
+    :class:`UnknownValue` or :class:`NotWellFormed`.
     """
     joint = _joint(bn)
     hyp, ev = _holds(bn, hypothesis), _holds(bn, evidence)

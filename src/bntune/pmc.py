@@ -73,7 +73,8 @@ class PMC:
     set the one collapsed :class:`LeveledSolver` of :meth:`solver`, and the
     checked action of every (parametric state, corner) that
     :func:`lifting.substitute` has evaluated.  An equal but distinct chain
-    shares none of it.
+    shares none of it; :func:`compile_tailored` returns the same chain for
+    a repeat of a network's most recent query, so its callers share it all.
     """
 
     states: tuple[StateLabel, ...]
@@ -351,15 +352,33 @@ def compile_tailored(
     evidence, at every instantiation that keeps the chain's topology.  The
     spec keeps the constraint's threshold, so both give one verdict.
 
+    The network keeps the chain and target set of its most recent query,
+    keyed by the constraint's hypothesis and evidence and the order (as a
+    tuple, or ``None``).  A repeat of that query, whatever its direction and
+    threshold, returns the same chain with a new spec, so every caller and
+    every :func:`tune.tune` run on it shares the chain's lowering, solvers
+    and corners (see :class:`PMC`).  Only one query is kept, so a chain is
+    not held once the network compiles another.  The constraint is checked
+    against the network on every call; a compilation that raises leaves the
+    kept one in place.
+
     The evidence must have positive probability at the network's recorded
     original values, when it has them, and otherwise along some path of
     nonzero entries; else :class:`EvidenceImpossible` is raised.
     """
     constraint.check_against(net)
-    chain, leaves = _build(net, order, constraint)
-    targets = frozenset(s for s in leaves if chain.states[s].hypothesis)
-    if not targets:
-        raise NotWellFormed("no leaf satisfies the hypothesis; its probability is identically 0")
+    if order is not None:
+        order = tuple(order)
+    key = (constraint.hypothesis, constraint.evidence, order)
+    kept = net._tailored
+    if kept is None or kept[0] != key:
+        chain, leaves = _build(net, order, constraint)
+        targets = frozenset(s for s in leaves if chain.states[s].hypothesis)
+        if not targets:
+            raise NotWellFormed("no leaf satisfies the hypothesis; its probability is identically 0")
+        kept = (key, chain, targets)
+        object.__setattr__(net, "_tailored", kept)
+    _, chain, targets = kept
     return chain, ReachSpec(targets, constraint.direction, constraint.threshold)
 
 

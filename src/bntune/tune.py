@@ -289,7 +289,12 @@ def tune(
     infeasible; anything short of that proof ends as unknown.  A
     partitioning that hits its box guard contributes whatever it classified
     so far.  Every step partitions the run's one chain, so the nested boxes
-    share the corners that it keeps (:func:`lifting.substitute`).  Raises :class:`ValueError` for an unknown ``measure``.
+    share the corners that it keeps (:func:`lifting.substitute`).  The chain
+    is :func:`compile_tailored`'s, which the network keeps for its most
+    recent query: a later run of the same query, with any direction,
+    threshold or hyper-parameters, and the caller's own compilation of it,
+    share the chain, its solver and its corners.  Raises :class:`ValueError`
+    for an unknown ``measure``.
     """
     d0 = d0_upper(pbn, measure)
     _, expand = _measure(measure)

@@ -8,7 +8,13 @@ from fractions import Fraction
 import pytest
 
 from bntune import Constraint, net_from_tables, parametrize
-from bntune.errors import EvidenceImpossible, TooLarge, UnsupportedForCD
+from bntune.errors import (
+    EvidenceImpossible,
+    NotWellFormed,
+    TooLarge,
+    UnknownValue,
+    UnsupportedForCD,
+)
 from bntune.oracle import cd_exact, grid_min_distance, infer, joint_table
 from conftest import covid_posterior
 
@@ -45,6 +51,23 @@ def test_infer_impossible_evidence():
     )
     with pytest.raises(EvidenceImpossible):
         infer(net, (("B", "a"),), (("A", "b"),))
+
+
+@pytest.mark.parametrize(
+    "hypothesis, evidence, error, message",
+    [
+        ((("Nope", "yes"),), (), UnknownValue, "unknown variable 'Nope'"),
+        ((("v", "yes"),), (("Nope", "yes"),), UnknownValue, "unknown variable 'Nope'"),
+        ((("v", "maybe"),), (), NotWellFormed, "variable v has no value 'maybe'"),
+    ],
+    ids=["hypothesis-variable", "evidence-variable", "value"],
+)
+def test_infer_rejects_a_literal_the_network_does_not_have(hypothesis, evidence, error, message):
+    # An unknown variable is named as Constraint.check_against names it, not
+    # a bare KeyError; an unknown value label keeps its NotWellFormed.
+    with pytest.raises(error) as raised:
+        infer(single_node(), hypothesis, evidence)
+    assert str(raised.value) == message
 
 
 def test_infer_enumeration_guard():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -26,10 +28,12 @@ from bntune import (
     sensitivity_function,
     to_dot,
 )
-from bntune.errors import BadOrder, EvidenceImpossible, NotWellFormed, TooLarge
+from bntune import lifting
+from bntune.errors import BadOrder, EvidenceImpossible, NotWellFormed, TooLarge, UnknownValue
 from bntune.lifting import substitute
 from bntune.oracle import infer, joint_table
 from bntune.pmc import PMC, LeveledSolver, ReachSpec, SensitivityFunction, StateLabel
+from bntune.tune import Status, tune
 from conftest import (
     build_covid_pbn,
     build_layered_6x6,
@@ -280,6 +284,102 @@ def test_structurally_unreachable_hypothesis_rejected():
     constraint = Constraint((("B", "a"),), (("A", "b"),), "<=", Fraction(1, 2))
     with pytest.raises(NotWellFormed):
         compile_tailored(pbn, constraint)
+
+
+# -- the network's most recent query -------------------------------------------
+
+
+def test_a_repeated_query_gets_the_same_chain_and_its_own_spec(covid_pbn, covid_constraint):
+    # Direction and threshold go only into the spec.
+    chain, spec = compile_tailored(covid_pbn, covid_constraint)
+    other = Constraint(
+        covid_constraint.hypothesis, covid_constraint.evidence, ">=", Fraction(2, 100)
+    )
+    again, other_spec = compile_tailored(covid_pbn, other)
+    assert again is chain
+    assert other_spec is not spec
+    assert other_spec == ReachSpec(spec.targets, ">=", Fraction(2, 100))
+    assert spec == ReachSpec(spec.targets, "<=", Fraction(9, 1000))
+    assert compile_tailored(covid_pbn, covid_constraint)[0] is chain
+
+
+def test_other_evidence_or_an_explicit_order_compiles_a_new_chain(covid_pbn, covid_constraint):
+    chain, _ = compile_tailored(covid_pbn, covid_constraint)
+    fewer = Constraint(covid_constraint.hypothesis, (("PCR", "pos"),), "<=", Fraction(9, 1000))
+    other, _ = compile_tailored(covid_pbn, fewer)
+    assert other is not chain
+    # The network keeps one query, so the first one compiles again.
+    first, _ = compile_tailored(covid_pbn, covid_constraint)
+    assert first is not chain and first == chain
+    order = ("COVID-19", "Symptoms", "Antigen", "PCR")
+    ordered, _ = compile_tailored(covid_pbn, covid_constraint, order=order)
+    assert ordered is not first
+    assert compile_tailored(covid_pbn, covid_constraint, order=list(order))[0] is ordered
+    assert compile_tailored(covid_pbn, covid_constraint)[0] is not ordered
+
+
+def cache_probe_net():
+    """A -> B with A = a certain and B = a certain under it."""
+    return net_from_tables(
+        [("A", ("a", "b"), ()), ("B", ("a", "b"), ("A",))],
+        {"A": {(): ("1", "0")},
+         "B": {("a",): ("1", "0"), ("b",): ("0.5", "0.5")}},
+    )
+
+
+@pytest.mark.parametrize(
+    "hypothesis, evidence, error, message",
+    [
+        ((("B", "a"),), (("A", "b"),), EvidenceImpossible, "the evidence has probability zero"),
+        ((("B", "maybe"),), (), UnknownValue, "variable B has no value 'maybe'"),
+        ((("B", "b"),), (("A", "a"),), NotWellFormed, "no leaf satisfies the hypothesis"),
+    ],
+    ids=["evidence-impossible", "unknown-value", "no-target"],
+)
+def test_a_query_that_raises_raises_again_and_keeps_the_previous_chain(
+    hypothesis, evidence, error, message
+):
+    net = cache_probe_net()
+    good = Constraint((("B", "a"),), (), "<=", Fraction(1, 2))
+    chain, _ = compile_tailored(net, good)
+    bad = Constraint(hypothesis, evidence, "<=", Fraction(1, 2))
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            compile_tailored(net, bad)
+    assert compile_tailored(net, good)[0] is chain
+
+
+def test_the_network_holds_one_chain(covid_pbn, covid_constraint):
+    chain, _ = compile_tailored(covid_pbn, covid_constraint)
+    first = weakref.ref(chain)
+    del chain
+    gc.collect()
+    assert first() is not None  # the network keeps it for a repeat
+    compile_tailored(covid_pbn, Constraint((("PCR", "pos"),), (), "<=", Fraction(1, 2)))
+    gc.collect()
+    assert first() is None
+
+
+def test_a_second_tune_run_of_one_query_evaluates_no_corner(
+    monkeypatch, covid_pbn, covid_constraint
+):
+    # Demo 04's pattern: the same query tuned twice on one network gives
+    # the answer of a run on a fresh network, and finds every corner kept.
+    evaluated = 0
+    original = lifting._distribution
+
+    def counting(out, point, memo):
+        nonlocal evaluated
+        evaluated += 1
+        return original(out, point, memo)
+
+    monkeypatch.setattr(lifting, "_distribution", counting)
+    first = tune(covid_pbn, covid_constraint)
+    assert first.status is Status.TUNED and evaluated > 0
+    evaluated = 0
+    assert tune(covid_pbn, covid_constraint) == first
+    assert evaluated == 0
+    assert tune(build_covid_pbn(), covid_constraint) == first
 
 
 def test_sensitivity_function_closed_form(tailored):

@@ -590,7 +590,8 @@ def test_tune_iteration_stats_shape(covid_pbn, covid_constraint):
 
 def test_tune_verifiers_share_the_corners_of_one_chain(monkeypatch):
     # Each partitioning of a run builds its own verifier, all on the run's
-    # one chain, which evaluates each (state, corner) once for all of them.
+    # one chain, which evaluates each (state, corner) once for all of them
+    # across every run on it: the three ec requests share one chain.
     chains = []
     evaluated = 0
 
@@ -608,13 +609,17 @@ def test_tune_verifiers_share_the_corners_of_one_chain(monkeypatch):
 
     monkeypatch.setattr(refine, "RegionVerifier", RecordingVerifier)
     monkeypatch.setattr(lifting, "_distribution", counting_distribution)
-    total = 0
+    runs = []
     for pbn, constraint, measure, hyper in covid_tune_requests():
         chains.clear()
         evaluated = 0
         result = tune(pbn, constraint, measure, hyper)
         assert len(chains) == len(result.iterations) > 0
         (chain,) = {id(c): c for c in chains}.values()
-        assert evaluated == len(chain._corners)
-        total += evaluated
-    assert total == 108
+        runs.append((chain, evaluated))
+    distinct = {id(chain): chain for chain, _ in runs}
+    assert len(distinct) == 2
+    assert [evaluated for _, evaluated in runs] == [35, 23, 15, 5]
+    assert sum(len(chain._corners) for chain in distinct.values()) == 78
+    for chain in distinct.values():
+        assert len(chain._corners) == sum(n for c, n in runs if c is chain)
